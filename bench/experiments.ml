@@ -11,15 +11,9 @@ open Weaver_baselines
 module Xrand = Weaver_util.Xrand
 module Stats = Weaver_util.Stats
 module Partition = Weaver_partition.Partition
-module Programs = Weaver_programs.Std_programs
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 let header title = line "\n==== %s ====" title
-
-let mk_cluster cfg =
-  let c = Cluster.create cfg in
-  Programs.Std.register_all (Cluster.registry c);
-  c
 
 let ok_exn what = function
   | Ok v -> v
@@ -94,7 +88,7 @@ let fig7 () =
       Config.vertex_read_cost = coingraph_vertex_cost;
     }
   in
-  let c = mk_cluster cfg in
+  let c = Scenario.cluster cfg in
   let app = Weaver_apps.Coingraph.create c in
   List.iter (fun h -> ignore (Weaver_apps.Coingraph.preload_block app ~height:h)) fig7_heights;
   Cluster.run_for c 10_000.0;
@@ -130,7 +124,7 @@ let fig8 () =
           Config.vertex_read_cost = coingraph_vertex_cost;
         }
       in
-      let c = mk_cluster cfg in
+      let c = Scenario.cluster cfg in
       let app = Weaver_apps.Coingraph.create c in
       ignore (Weaver_apps.Coingraph.preload_block app ~height:h);
       Cluster.run_for c 10_000.0;
@@ -181,11 +175,7 @@ let run_weaver_social ~read_fraction ~clients ~seed =
       Config.store_op_cost = social_store_op_cost;
     }
   in
-  let c = mk_cluster cfg in
-  let g = social_graph seed in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let c, vertices = Scenario.install cfg (social_graph seed) in
   ( Tao.Driver.run c ~vertices ~clients ~duration:400_000.0 ~read_fraction
       ~warmup:50_000.0 (),
     c )
@@ -244,9 +234,7 @@ let fig11 () =
      varies greatly across requests (the spread in Fig. 11) *)
   let g = Graphgen.rmat ~rng ~prefix:"t" ~vertices:4_096 ~edges:84_000 () in
   let cfg = { Config.default with Config.n_shards = 8; Config.seed = 11 } in
-  let c = mk_cluster cfg in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
+  let c, _ = Scenario.install cfg g in
   let client = Cluster.client c in
   let gl = Graphlab_like.load g in
   let costs = Graphlab_like.default_costs in
@@ -291,12 +279,10 @@ let fig12 () =
       let cfg =
         { Config.default with Config.n_gatekeepers = n_gk; Config.n_shards = 4; Config.seed = 12 }
       in
-      let c = mk_cluster cfg in
       let rng = Xrand.create ~seed:12 () in
-      let g = Graphgen.rmat ~rng ~prefix:"w" ~vertices:4_000 ~edges:40_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
+      let c, vertices =
+        Scenario.install cfg (Graphgen.rmat ~rng ~prefix:"w" ~vertices:4_000 ~edges:40_000 ())
+      in
       let completed = ref 0 in
       let clients = 60 * n_gk in
       for _ = 1 to clients do
@@ -337,12 +323,10 @@ let fig13 () =
           Config.vertex_read_cost = 50.0;
         }
       in
-      let c = mk_cluster cfg in
       let rng = Xrand.create ~seed:13 () in
-      let g = Graphgen.uniform ~rng ~prefix:"t" ~vertices:2_000 ~edges:42_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
+      let c, vertices =
+        Scenario.install cfg (Graphgen.uniform ~rng ~prefix:"t" ~vertices:2_000 ~edges:42_000 ())
+      in
       let completed = ref 0 in
       for _ = 1 to 100 do
         let client = Cluster.client c in
@@ -368,25 +352,7 @@ let fig13 () =
 
 let fig14 () =
   header "Fig 14: coordination overhead vs timestamp announce period";
-  line "%-12s %20s %22s" "tau (us)" "announces/query" "oracle msgs/query";
-  List.iter
-    (fun tau ->
-      let cfg =
-        { Config.default with Config.tau; Config.n_shards = 4; Config.seed = 14 }
-      in
-      let c = mk_cluster cfg in
-      let rng = Xrand.create ~seed:14 () in
-      let g = Graphgen.uniform ~rng ~prefix:"f" ~vertices:1_000 ~edges:8_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
-      let vertices = Array.of_list (Graphgen.vertex_ids g) in
-      let r = Tao.Driver.run c ~vertices ~clients:20 ~duration:200_000.0 ~read_fraction:0.9 () in
-      let ops = max 1 r.Tao.Driver.completed in
-      let ctr = Cluster.counters c in
-      line "%-12.0f %20.3f %22.3f" tau
-        (float_of_int ctr.Runtime.announce_msgs /. float_of_int ops)
-        (float_of_int ctr.Runtime.oracle_consults /. float_of_int ops))
-    [ 10.0; 100.0; 1_000.0; 10_000.0; 100_000.0; 1_000_000.0 ]
+  print_string (Sweepbench.table (Sweepbench.run Sweepbench.default_opts))
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (ours; DESIGN.md A1-A3).                                  *)
@@ -397,11 +363,9 @@ let ablation_cache () =
     let cfg =
       { Config.default with Config.enable_memoization = memo; Config.n_gatekeepers = 1; Config.seed = 21 }
     in
-    let c = mk_cluster cfg in
     let rng = Xrand.create ~seed:21 () in
     let g = Graphgen.uniform ~rng ~prefix:"m" ~vertices:500 ~edges:4_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
+    let c, _ = Scenario.install cfg g in
     let client = Cluster.client c in
     let lat = Stats.create () in
     (* hot query set with occasional invalidating writes *)
@@ -429,11 +393,9 @@ let ablation_truetime () =
   (* measure Weaver's actual commit latency, then show what a TrueTime
      first stage would add: a commit-wait of 2*eps per transaction *)
   let cfg = { Config.default with Config.seed = 22 } in
-  let c = mk_cluster cfg in
+  let c = Scenario.cluster cfg in
   let client = Cluster.client c in
-  let tx0 = Client.Tx.begin_ client in
-  ignore (Client.Tx.create_vertex tx0 ~id:"tt" ());
-  ignore (Client.commit client tx0);
+  Scenario.create_vertices client [ "tt" ];
   let lat = Stats.create () in
   for i = 0 to 49 do
     let tx = Client.Tx.begin_ client in
@@ -472,7 +434,7 @@ let ablation_partition () =
   List.iter
     (fun (name, assign) ->
       let cfg = { Config.default with Config.n_shards = shards; Config.seed = 23 } in
-      let c = mk_cluster cfg in
+      let c = Scenario.cluster cfg in
       Loader.fast_install_with_assignment c assign g;
       Cluster.run_for c 5_000.0;
       let client = Cluster.client c in
@@ -496,7 +458,7 @@ let ablation_partition () =
   (* live rebalancing (§4.6): start from hash placement and migrate vertices
      while the cluster is running, then measure again *)
   let cfg = { Config.default with Config.n_shards = shards; Config.seed = 23 } in
-  let c = mk_cluster cfg in
+  let c = Scenario.cluster cfg in
   Loader.fast_install_with_assignment c hash_assign g;
   Cluster.run_for c 5_000.0;
   let client = Cluster.client c in
@@ -537,11 +499,9 @@ let ablation_nop () =
           Config.seed = 24;
         }
       in
-      let c = mk_cluster cfg in
       let rng = Xrand.create ~seed:24 () in
       let g = Graphgen.uniform ~rng ~prefix:"n" ~vertices:200 ~edges:1_000 () in
-      Loader.fast_install c g;
-      Cluster.run_for c 5_000.0;
+      let c, _ = Scenario.install cfg g in
       let client = Cluster.client c in
       let lat = Stats.create () in
       for i = 0 to 99 do
@@ -566,12 +526,10 @@ let ablation_replicas () =
         Config.seed = 25;
       }
     in
-    let c = mk_cluster cfg in
     let rng = Xrand.create ~seed:25 () in
-    let g = Graphgen.uniform ~rng ~prefix:"r" ~vertices:1_000 ~edges:20_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
-    let vertices = Array.of_list (Graphgen.vertex_ids g) in
+    let c, vertices =
+      Scenario.install cfg (Graphgen.uniform ~rng ~prefix:"r" ~vertices:1_000 ~edges:20_000 ())
+    in
     let completed = ref 0 in
     for _ = 1 to 80 do
       let client = Cluster.client c in
@@ -612,12 +570,10 @@ let ablation_adaptive_tau () =
         Config.seed = 26;
       }
     in
-    let c = mk_cluster cfg in
     let rng = Xrand.create ~seed:26 () in
-    let g = Graphgen.uniform ~rng ~prefix:"a" ~vertices:500 ~edges:4_000 () in
-    Loader.fast_install c g;
-    Cluster.run_for c 5_000.0;
-    let vertices = Array.of_list (Graphgen.vertex_ids g) in
+    let c, vertices =
+      Scenario.install cfg (Graphgen.uniform ~rng ~prefix:"a" ~vertices:500 ~edges:4_000 ())
+    in
     let r = Tao.Driver.run c ~vertices ~clients ~duration:500_000.0 ~read_fraction:0.9 () in
     let ops = max 1 r.Tao.Driver.completed in
     let ctr = Cluster.counters c in
@@ -643,11 +599,9 @@ let ablation_freshness () =
   (* Weaver: a write is readable as soon as its commit returns; measure the
      gap between commit time and first successful strong read *)
   let cfg = { Config.default with Config.seed = 27 } in
-  let c = mk_cluster cfg in
+  let c = Scenario.cluster cfg in
   let client = Cluster.client c in
-  let tx0 = Client.Tx.begin_ client in
-  ignore (Client.Tx.create_vertex tx0 ~id:"fresh" ());
-  ignore (ok_exn "seed" (Client.commit client tx0));
+  Scenario.create_vertices client [ "fresh" ];
   let weaver_staleness = Stats.create () in
   for i = 1 to 20 do
     let t0 = Cluster.now c in
@@ -699,76 +653,21 @@ refinable timestamps make them visible within a commit round trip)"
 
 let breakdown () =
   header "Latency breakdown (traced mixed run)";
-  let cfg =
-    {
-      Config.default with
-      Config.n_gatekeepers = 2;
-      Config.n_shards = 4;
-      Config.enable_tracing = true;
-      Config.trace_capacity = 4096;
-    }
-  in
-  let c = mk_cluster cfg in
-  let client = Cluster.client c in
-  let rng = Xrand.create ~seed:11 () in
-  let g = Graphgen.uniform ~rng ~prefix:"bd" ~vertices:500 ~edges:2_000 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
-  let n_txs = 200 and n_progs = 50 in
-  let traces = ref [] in
-  for i = 1 to n_txs do
-    let tx = Client.Tx.begin_ client in
-    let src = Xrand.pick rng vertices in
-    ignore (Client.Tx.create_edge tx ~src ~dst:(Xrand.pick rng vertices));
-    Client.Tx.set_vertex_prop tx ~vid:src ~key:"n" ~value:(string_of_int i);
-    ignore (Client.commit client tx);
-    traces := Client.last_request_id client :: !traces
-  done;
-  for _ = 1 to n_progs do
-    ignore
-      (Client.run_program client ~prog:"get_edges" ~params:Progval.Null
-         ~starts:[ Xrand.pick rng vertices ] ())
-  done;
-  Cluster.run_for c 10_000.0;
-  let m = Cluster.metrics c in
+  let r = Mixedbench.run Mixedbench.default_opts in
+  let c = r.Mixedbench.mx_cluster in
   let tr = Option.get (Cluster.request_tracer c) in
   let msgs_per_tx = Stats.create () in
   List.iter
     (fun id ->
       let n = Weaver_obs.Trace.message_count tr id in
       if n > 0 then Stats.add msgs_per_tx (float_of_int n))
-    !traces;
+    r.Mixedbench.mx_tx_traces;
   let ctr = Cluster.counters c in
   let committed = max 1 ctr.Runtime.tx_committed in
   let announce_per_tx =
     float_of_int ctr.Runtime.announce_msgs /. float_of_int committed
   in
-  let phases =
-    [
-      ("admission", "gk.admission_wait");
-      ("store", "gk.store_rtt");
-      ("shard_queue", "shard.queue_wait");
-      ("oracle", "shard.oracle_wait");
-      ("tx_service", "gk.tx_service");
-      ("prog_service", "gk.prog_service");
-    ]
-  in
-  let reservoirs = Weaver_obs.Metrics.reservoirs m in
-  line "%-14s %10s %10s %8s" "phase" "p50 (us)" "p99 (us)" "n";
-  let rows =
-    List.map
-      (fun (label, name) ->
-        match List.assoc_opt name reservoirs with
-        | None ->
-            line "%-14s %10s %10s %8d" label "-" "-" 0;
-            (label, 0, 0.0, 0.0)
-        | Some s ->
-            let p50 = Stats.percentile s 50.0 and p99 = Stats.percentile s 99.0 in
-            line "%-14s %10.1f %10.1f %8d" label p50 p99 (Stats.count s);
-            (label, Stats.count s, p50, p99))
-      phases
-  in
+  print_string (Mixedbench.phase_table c);
   line "messages/tx: mean %.1f p99 %.0f | announces/committed tx: %.2f"
     (Stats.mean msgs_per_tx)
     (Stats.percentile msgs_per_tx 99.0)
@@ -781,7 +680,7 @@ let breakdown () =
       j "%s\n    \"%s\": {\"n\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f}"
         (if i = 0 then "" else ",")
         label n p50 p99)
-    rows;
+    (Mixedbench.phases c);
   j "\n  },\n";
   j "  \"messages_per_tx\": {\"mean\": %.2f, \"p50\": %.0f, \"p99\": %.0f},\n"
     (Stats.mean msgs_per_tx)
@@ -813,12 +712,10 @@ let timeline () =
       Config.timeline_period = period;
     }
   in
-  let c = mk_cluster cfg in
   let rng = Xrand.create ~seed:5 () in
-  let g = Graphgen.uniform ~rng ~prefix:"tl" ~vertices:1_000 ~edges:4_000 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let c, vertices =
+    Scenario.install cfg (Graphgen.uniform ~rng ~prefix:"tl" ~vertices:1_000 ~edges:4_000 ())
+  in
   let rt = Cluster.runtime c in
   Weaver_sim.Engine.schedule rt.Runtime.engine
     ~delay:(crash_at -. Cluster.now c)
@@ -891,17 +788,8 @@ let chaos () =
   let base = { Chaosbench.default_opts with Chaosbench.co_seed = 42 } in
   let off = Chaosbench.run { base with Chaosbench.co_reliable = false } in
   let on_ = Chaosbench.run { base with Chaosbench.co_reliable = true } in
-  let show tag (r : Chaosbench.result) =
-    line "%-4s availability %.3f | ok %d err %d | p99 %.1f ms | recovery %s | retries %d dedup %d late %d"
-      tag r.Chaosbench.r_availability r.Chaosbench.r_total_ok r.Chaosbench.r_total_err
-      (r.Chaosbench.r_p99 /. 1_000.0)
-      (match r.Chaosbench.r_recovery_time with
-      | Some t -> Printf.sprintf "%.0f ms" (t /. 1_000.0)
-      | None -> "never")
-      r.Chaosbench.r_retries r.Chaosbench.r_dedup_hits r.Chaosbench.r_late_replies
-  in
-  show "off" off;
-  show "on" on_;
+  line "%s" (Chaosbench.summary "off" off);
+  line "%s" (Chaosbench.summary "on" on_);
   line "availability delta: +%.3f"
     (on_.Chaosbench.r_availability -. off.Chaosbench.r_availability);
   let oc = open_out "BENCH_chaos.json" in
@@ -913,146 +801,34 @@ let chaos () =
   line "wrote BENCH_chaos.json"
 
 (* ------------------------------------------------------------------ *)
-(* Contention: write-contention sweep over zipf-skewed keys on a single
-   shard, comparing the historical blocking refinement (one consult
-   freezes the whole shard event loop) against the non-blocking, coalesced
-   path ([Config.oracle_nonblocking]). Writers pin themselves to distinct
-   gatekeepers so their stamps stay mutually concurrent between announce
-   rounds (large tau) and the undecided pairs genuinely reach the shard —
-   same-key races are ordered proactively at the gatekeepers by the
-   last-update check, so the skew knob trades shard-level (cross-key)
-   conflicts against gatekeeper-level (same-key) aborts. Reports oracle
-   consults per committed transaction and the commit-visibility tail
-   (shard enqueue -> apply, the segment refinement stalls inflate; the
-   gatekeeper ack path never waits on the shard, so client-observed ack
-   latency is blind to the difference). Emits BENCH_contention.json. *)
-
-type contention_run = {
-  cr_committed : int;
-  cr_aborted : int;
-  cr_consults : int;
-  cr_batched : int;
-  cr_consults_per_tx : float;
-  cr_p50_apply : float;
-  cr_p99_apply : float;
-  cr_p99_ack : float;
-  cr_fingerprint : int * int * int * int * int * int;
-}
-
-let contention_arm ~nonblocking ~theta ~seed =
-  let cfg =
-    {
-      Config.default with
-      Config.seed;
-      Config.n_gatekeepers = 3;
-      Config.n_shards = 1;
-      Config.tau = 50_000.0;
-      Config.nop_period = 400.0;
-      Config.oracle_nonblocking = nonblocking;
-    }
-  in
-  let c = mk_cluster cfg in
-  let n_keys = 16 in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to n_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(Printf.sprintf "k%d" i) ())
-  done;
-  ok_exn "contention setup" (Client.commit setup tx);
-  let writers = 9 and per_writer = 40 in
-  let ack = Stats.create () in
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    Client.set_gatekeeper client (Some (i mod cfg.Config.n_gatekeepers));
-    let rng = Xrand.create ~seed:(seed + (1_000 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let k = Xrand.zipf rng ~n:n_keys ~theta in
-        let t0 = Cluster.now c in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid:(Printf.sprintf "k%d" k) ~key:"n"
-          ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with
-            | Ok () ->
-                incr committed;
-                Stats.add ack (Cluster.now c -. t0)
-            | Error _ -> () (* same-key OCC abort: retry with a fresh stamp *));
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  let budget = ref 4_000 in
-  while !done_writers < writers && !budget > 0 do
-    decr budget;
-    Cluster.run_for c 1_000.0
-  done;
-  if !done_writers < writers then failwith "contention: writers stalled";
-  Cluster.run_for c 50_000.0;
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  let apply =
-    match
-      List.assoc_opt "shard.queue_wait"
-        (Weaver_obs.Metrics.reservoirs (Cluster.metrics c))
-    with
-    | Some s -> s
-    | None -> Stats.create ()
-  in
-  {
-    cr_committed = ctr.Runtime.tx_committed;
-    cr_aborted = ctr.Runtime.tx_aborted;
-    cr_consults = ctr.Runtime.shard_oracle_consults;
-    cr_batched = ctr.Runtime.shard_oracle_batched;
-    cr_consults_per_tx =
-      float_of_int ctr.Runtime.shard_oracle_consults
-      /. float_of_int (max 1 ctr.Runtime.tx_committed);
-    cr_p50_apply = Stats.percentile apply 50.0;
-    cr_p99_apply = Stats.percentile apply 99.0;
-    cr_p99_ack = Stats.percentile ack 99.0;
-    cr_fingerprint =
-      ( ctr.Runtime.tx_committed,
-        ctr.Runtime.tx_aborted,
-        ctr.Runtime.shard_oracle_consults,
-        ctr.Runtime.shard_oracle_batched,
-        Weaver_sim.Net.messages_sent rt.Runtime.net,
-        ctr.Runtime.nop_msgs );
-  }
+(* Contention ({!Contentionbench}): blocking vs non-blocking refinement
+   at three key skews. Reports oracle consults per committed transaction
+   and the commit-visibility tail (shard enqueue -> apply, the segment
+   refinement stalls inflate; the gatekeeper ack path never waits on the
+   shard, so client-observed ack latency is blind to the difference).
+   Emits BENCH_contention.json. *)
 
 let contention () =
   header "Contention: skewed write races, blocking vs non-blocking refinement";
-  let seed = 7 in
+  let open Contentionbench in
+  let seed = default_opts.ct_seed in
+  let contention_arm ~nonblocking ~theta =
+    run { default_opts with ct_theta = theta; ct_nonblocking = nonblocking }
+  in
   let thetas = [ 0.0; 0.6; 0.9 ] in
   let sweep =
     List.map
       (fun theta ->
-        let blocking = contention_arm ~nonblocking:false ~theta ~seed in
-        let nonblocking = contention_arm ~nonblocking:true ~theta ~seed in
+        let blocking = contention_arm ~nonblocking:false ~theta in
+        let nonblocking = contention_arm ~nonblocking:true ~theta in
         (theta, blocking, nonblocking))
       thetas
   in
-  line "%-6s %-12s %10s %9s %8s %12s %13s %13s %12s" "theta" "arm" "committed"
-    "consults" "batched" "consults/tx" "p50 apply us" "p99 apply us"
-    "p99 ack us";
-  List.iter
-    (fun (theta, bl, nb) ->
-      let row tag (r : contention_run) =
-        line "%-6.1f %-12s %10d %9d %8d %12.3f %13.1f %13.1f %12.1f" theta tag
-          r.cr_committed r.cr_consults r.cr_batched r.cr_consults_per_tx
-          r.cr_p50_apply r.cr_p99_apply r.cr_p99_ack
-      in
-      row "blocking" bl;
-      row "nonblocking" nb)
-    sweep;
+  print_string (table sweep);
   (* determinism: the non-blocking arm at the highest skew reruns to the
      identical counter fingerprint *)
   let hot = List.hd (List.rev thetas) in
-  let again = contention_arm ~nonblocking:true ~theta:hot ~seed in
+  let again = contention_arm ~nonblocking:true ~theta:hot in
   let _, _, hot_nb = List.hd (List.rev sweep) in
   let deterministic = again.cr_fingerprint = hot_nb.cr_fingerprint in
   line "deterministic rerun (theta %.1f): %b" hot deterministic;
@@ -1076,15 +852,9 @@ let contention () =
   j "  \"sweep\": [";
   List.iteri
     (fun i (theta, bl, nb) ->
-      let arm (r : contention_run) =
-        Printf.sprintf
-          "{\"committed\": %d, \"aborted\": %d, \"consults\": %d, \"batched\": %d, \"consults_per_committed_tx\": %.4f, \"p50_commit_apply_us\": %.1f, \"p99_commit_apply_us\": %.1f, \"p99_commit_ack_us\": %.1f}"
-          r.cr_committed r.cr_aborted r.cr_consults r.cr_batched
-          r.cr_consults_per_tx r.cr_p50_apply r.cr_p99_apply r.cr_p99_ack
-      in
       j "%s\n    {\"theta\": %.1f,\n     \"blocking\": %s,\n     \"nonblocking\": %s}"
         (if i = 0 then "" else ",")
-        theta (arm bl) (arm nb))
+        theta (to_json bl) (to_json nb))
     sweep;
   j "\n  ],\n  \"deterministic_rerun\": %b\n}\n" deterministic;
   close_out oc;
@@ -1116,20 +886,7 @@ let overload () =
   let sweep =
     List.map (fun mult -> (mult, arm ~flow:false mult, arm ~flow:true mult)) mults
   in
-  line "%-6s %-5s %9s %9s %8s %8s %8s %10s %10s %9s" "load" "arm" "offered"
-    "ok" "shed" "timeout" "goodput" "p50 us" "p99 us" "shed%";
-  List.iter
-    (fun (mult, off, on_) ->
-      let row tag (r : Overloadbench.result) =
-        line "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f" mult tag
-          r.Overloadbench.v_offered r.Overloadbench.v_ok r.Overloadbench.v_shed
-          r.Overloadbench.v_timeout r.Overloadbench.v_goodput
-          r.Overloadbench.v_p50 r.Overloadbench.v_p99
-          (100.0 *. r.Overloadbench.v_shed_rate)
-      in
-      row "off" off;
-      row "on" on_)
-    sweep;
+  print_string (Overloadbench.table sweep);
   let find mult = List.find (fun (m, _, _) -> m = mult) sweep in
   (* peak-capacity goodput: the on arm at the knee *)
   let _, _, on_1x = find 1.0 in
@@ -1184,147 +941,20 @@ let overload () =
   line "wrote BENCH_overload.json"
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot reads: historical analytics latency and concurrent write
-   throughput with the versioned snapshot store (§DESIGN 12) off vs on.
-   Capacity-limited shards make the off arm pay demand paging for every
-   cold historical lookup and hold each program at the ordering gate
-   behind live write traffic; the on arm pins a published immutable
-   snapshot, skips the gate, and reads at zero per-vertex cost. Writers
-   must not slow down: snapshots are built off the durable store at
-   watermark boundaries, never by locking the live graph. Emits
+(* Snapshot reads ({!Snapshotbench}, §DESIGN 12): historical analytics
+   latency and concurrent write throughput, snapshot store off vs on.
+   Writers must not slow down: snapshots are built off the durable store
+   at watermark boundaries, never by locking the live graph. Emits
    BENCH_snapshot.json. *)
-
-type snapshot_run = {
-  sr_writes : int;
-  sr_reads : int;
-  sr_gced : int;  (** cut re-captures forced by the compaction watermark *)
-  sr_p50_read : float;
-  sr_p99_read : float;
-  sr_published : int;
-  sr_pinned : int;
-  sr_deferred : int;
-  sr_fingerprint : int * int * int * int * int * int;
-}
-
-let snapshot_arm ~snap ~seed =
-  let cfg =
-    {
-      Config.default with
-      Config.seed;
-      Config.n_gatekeepers = 2;
-      Config.n_shards = 4;
-      Config.snapshot_reads = snap;
-      Config.gc_period = 5_000.0;
-      Config.shard_capacity = Some 120;
-    }
-  in
-  let c = mk_cluster cfg in
-  let n_vertices = 600 in
-  let vid i = Printf.sprintf "s%03d" i in
-  let setup = Cluster.client c in
-  let i = ref 0 in
-  while !i < n_vertices do
-    let tx = Client.Tx.begin_ setup in
-    for k = !i to min (n_vertices - 1) (!i + 49) do
-      ignore (Client.Tx.create_vertex tx ~id:(vid k) ())
-    done;
-    i := !i + 50;
-    ok_exn "snapshot setup" (Client.commit setup tx)
-  done;
-  Cluster.run_for c 50_000.0;
-  (* the analytics cut: everything below this stamp is history *)
-  let at0 = Cluster.gk_clock c 0 in
-  let starts = List.init 64 (fun k -> vid (k * 9 mod n_vertices)) in
-  let stop = ref false in
-  (* TAO-style write mix: continuous single-vertex property updates across
-     the whole key range, hot enough to keep every shard's queues fed *)
-  let writes = ref 0 in
-  for w = 0 to 3 do
-    let client = Cluster.client c in
-    Client.set_gatekeeper client (Some (w mod cfg.Config.n_gatekeepers));
-    let rng = Xrand.create ~seed:(seed + (1_000 * (w + 1))) () in
-    let n = ref 0 in
-    let rec next () =
-      if not !stop then begin
-        incr n;
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx
-          ~vid:(vid (Xrand.int rng n_vertices))
-          ~key:"n" ~value:(string_of_int !n);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with Ok () -> incr writes | Error _ -> ());
-            next ())
-      end
-    in
-    next ()
-  done;
-  (* analytics: repeated multi-start historical reads at the pinned cut.
-     When the cut falls below the compaction watermark the shard replies
-     the retryable "snapshot-gced" (the silent-stale-read bugfix); the
-     client then re-captures a fresh cut, exactly what a real analytics
-     driver would do. The on arm pins published snapshots, so its cut
-     stays readable far longer. *)
-  let lat = Stats.create () in
-  let reads = ref 0 and gced = ref 0 in
-  let at = ref at0 in
-  let analyst = Cluster.client c in
-  Client.set_retry_policy analyst Client.no_retry_policy;
-  let rec read_next () =
-    if not !stop then begin
-      let t0 = Cluster.now c in
-      Client.run_program_async analyst ~prog:"get_node" ~params:Progval.Null
-        ~starts ~at:!at
-        ~on_result:(fun r ->
-          (match r with
-          | Ok _ ->
-              incr reads;
-              Stats.add lat (Cluster.now c -. t0)
-          | Error "snapshot-gced" ->
-              incr gced;
-              at := Cluster.gk_clock c 0
-          | Error e -> failwith ("snapshot: analytics failed: " ^ e));
-          read_next ())
-        ()
-    end
-  in
-  read_next ();
-  Cluster.run_for c 400_000.0;
-  stop := true;
-  Cluster.run_for c 50_000.0;
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  {
-    sr_writes = !writes;
-    sr_reads = !reads;
-    sr_gced = !gced;
-    sr_p50_read = Stats.percentile lat 50.0;
-    sr_p99_read = Stats.percentile lat 99.0;
-    sr_published = ctr.Runtime.snap_published;
-    sr_pinned = ctr.Runtime.snap_pinned_reads;
-    sr_deferred = ctr.Runtime.snap_gc_deferred;
-    sr_fingerprint =
-      ( !writes,
-        !reads,
-        ctr.Runtime.tx_committed,
-        ctr.Runtime.snap_published,
-        ctr.Runtime.snap_pinned_reads,
-        Weaver_sim.Net.messages_sent rt.Runtime.net );
-  }
 
 let snapshot () =
   header "Snapshot reads: pinned historical analytics vs live write mix";
-  let seed = 11 in
-  let off = snapshot_arm ~snap:false ~seed in
-  let on_ = snapshot_arm ~snap:true ~seed in
-  let row tag (r : snapshot_run) =
-    line "%-4s %8d %8d %6d %12.1f %12.1f %10d %8d %9d" tag r.sr_writes
-      r.sr_reads r.sr_gced r.sr_p50_read r.sr_p99_read r.sr_published
-      r.sr_pinned r.sr_deferred
-  in
-  line "%-4s %8s %8s %6s %12s %12s %10s %8s %9s" "arm" "writes" "reads" "gced"
-    "p50 us" "p99 us" "published" "pinned" "deferred";
-  row "off" off;
-  row "on" on_;
+  let open Snapshotbench in
+  let seed = default_opts.sn_seed in
+  let snapshot_arm ~snap = run { default_opts with sn_snapshots = snap } in
+  let off = snapshot_arm ~snap:false in
+  let on_ = snapshot_arm ~snap:true in
+  print_string (table [ ("off", off); ("on", on_) ]);
   (* the tail is where gate waits and demand paging land; the median is
      dominated by network round trips in both arms, so require a solid
      tail win and a no-worse median *)
@@ -1337,7 +967,7 @@ let snapshot () =
   if off.sr_published <> 0 || off.sr_pinned <> 0 then
     failwith "snapshot: off arm touched snapshot counters";
   (* determinism: the on arm reruns to the identical fingerprint *)
-  let again = snapshot_arm ~snap:true ~seed in
+  let again = snapshot_arm ~snap:true in
   let deterministic = again.sr_fingerprint = on_.sr_fingerprint in
   line "deterministic rerun (snapshots on): %b" deterministic;
   if not deterministic then failwith "snapshot: rerun diverged";
@@ -1346,13 +976,7 @@ let snapshot () =
   j "{\n  \"experiment\": \"snapshot\",\n  \"seed\": %d,\n" seed;
   j "  \"workload\": {\"vertices\": 600, \"writers\": 4, \"analytics_starts\": 64, \"shards\": 4, \"gatekeepers\": 2, \"shard_capacity\": 120, \"gc_period_us\": 5000},\n";
   j "  \"arms\": {";
-  let arm (r : snapshot_run) =
-    Printf.sprintf
-      "{\"writes\": %d, \"reads\": %d, \"cut_recaptures\": %d, \"p50_read_us\": %.1f, \"p99_read_us\": %.1f, \"snapshots_published\": %d, \"pinned_reads\": %d, \"gc_deferred\": %d}"
-      r.sr_writes r.sr_reads r.sr_gced r.sr_p50_read r.sr_p99_read
-      r.sr_published r.sr_pinned r.sr_deferred
-  in
-  j "\n    \"off\": %s,\n    \"on\": %s\n  },\n" (arm off) (arm on_);
+  j "\n    \"off\": %s,\n    \"on\": %s\n  },\n" (to_json off) (to_json on_);
   j "  \"deterministic_rerun\": %b\n}\n" deterministic;
   close_out oc;
   line "wrote BENCH_snapshot.json"
@@ -1419,39 +1043,13 @@ let skew_merged_top c ~k =
    single-key property writes with zipf(theta)-ranked key selection
    through [rank_to_key]; tallies ground truth into [true_counts] *)
 let skew_writers c ~writers ~per_writer ~theta ~seed ~rank_to_key ~true_counts =
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    let rng = Xrand.create ~seed:(seed + (1_000 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let key_ix = rank_to_key (Xrand.zipf rng ~n:skew_keys ~theta) in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid:(skew_key key_ix) ~key:"n"
-          ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with
-            | Ok () ->
-                incr committed;
-                true_counts.(key_ix) <- true_counts.(key_ix) + 1
-            | Error _ -> ());
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  done_writers
-
-let skew_drain c ~done_writers ~writers ~label =
-  let budget = ref 4_000 in
-  while !done_writers < writers && !budget > 0 do
-    decr budget;
-    Cluster.run_for c 1_000.0
-  done;
-  if !done_writers < writers then failwith (label ^ ": writers stalled")
+  Scenario.writers c ~writers
+    ~seed:(fun i -> seed + (1_000 * (i + 1)))
+    ~continue:(fun committed -> committed < per_writer)
+    ~pick:(fun rng -> rank_to_key (Xrand.zipf rng ~n:skew_keys ~theta))
+    ~vid:skew_key
+    ~on_commit:(fun key _ -> true_counts.(key) <- true_counts.(key) + 1)
+    ()
 
 (* tie-tolerant scoring: a pick is correct if its true tally reaches the
    K-th largest tally; recall is over the keys strictly above that bar
@@ -1478,15 +1076,10 @@ let skew_score ~true_counts picks =
 
 let skew_arm ~heat ~theta ~seed =
   let cpu0 = Sys.time () in
-  let c = mk_cluster (skew_cfg ~heat ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to skew_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(skew_key i) ())
-  done;
+  let c = Scenario.cluster (skew_cfg ~heat ~seed) in
   (* one 128-key create fanning out to all 4 shards: the cross-shard touch
      path gets exercised before the single-shard writer phase *)
-  ok_exn "skew setup" (Client.commit setup tx);
+  Scenario.create_vertices (Cluster.client c) (List.init skew_keys skew_key);
   Cluster.run_for c 5_000.0;
   let true_counts = Array.make skew_keys 1 (* the setup create *) in
   let t0 = Cluster.now c in
@@ -1494,7 +1087,7 @@ let skew_arm ~heat ~theta ~seed =
     skew_writers c ~writers:8 ~per_writer:60 ~theta ~seed ~rank_to_key:(fun r -> r)
       ~true_counts
   in
-  skew_drain c ~done_writers ~writers:8 ~label:"skew";
+  Scenario.drain c done_writers ~writers:8 ~label:"skew";
   let t1 = Cluster.now c in
   Cluster.run_for c 20_000.0;
   let ctr = Cluster.counters c in
@@ -1539,20 +1132,15 @@ let skew_arm ~heat ~theta ~seed =
    the new hottest key appears *)
 let skew_flip ~seed =
   let theta = 0.9 in
-  let c = mk_cluster (skew_cfg ~heat:true ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to skew_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(skew_key i) ())
-  done;
-  ok_exn "skew flip setup" (Client.commit setup tx);
+  let c = Scenario.cluster (skew_cfg ~heat:true ~seed) in
+  Scenario.create_vertices (Cluster.client c) (List.init skew_keys skew_key);
   Cluster.run_for c 5_000.0;
   let true_counts = Array.make skew_keys 1 in
   let done_a =
     skew_writers c ~writers:8 ~per_writer:50 ~theta ~seed ~rank_to_key:(fun r -> r)
       ~true_counts
   in
-  skew_drain c ~done_writers:done_a ~writers:8 ~label:"skew flip phase A";
+  Scenario.drain c done_a ~writers:8 ~label:"skew flip phase A";
   let flip_at = Cluster.now c in
   let new_hot = skew_key (skew_keys / 2) in
   let done_b =
@@ -1641,151 +1229,21 @@ let skew () =
   line "wrote BENCH_skew.json"
 
 (* -------------------------------------------------------------------- *)
-(* Rebalance: elasticity under a migrating hot spot (§4.6). Closed-loop
-   writers hammer a hot set of vertices that all live on shard 0; the
-   live balancer senses the skew and spreads them. Mid-run the hot set
-   flips to shard 1's residents: the on-arm's skew must return to within
-   1.2× of its pre-flip (converged) value, while the rebalance-off arm
-   stays pinned above the hysteresis bar. Goodput must stay within 10%
-   of the off arm (migrations abort racing writers, not the reverse),
-   and the whole run — move log included — reruns bit-identically.
-   Emits BENCH_rebalance.json. *)
-
-let reb_keys = 128
-let reb_key i = Printf.sprintf "e%03d" i
-
-let reb_cfg ~rebalance ~seed =
-  {
-    Config.default with
-    Config.seed;
-    Config.n_gatekeepers = 2;
-    Config.n_shards = 4;
-    Config.enable_heat = true;
-    Config.enable_rebalance = rebalance;
-    Config.rebalance_period = 10_000.0;
-  }
-
-type reb_arm = {
-  rb_committed : int;
-  rb_aborted : int;
-  rb_skew_pre : float;  (* end of phase A: planner converged (on arm) *)
-  rb_skew_spike : float;  (* shortly after the hot-set flip *)
-  rb_skew_post : float;  (* end of phase B *)
-  rb_goodput : float;  (* commits per virtual second, both phases *)
-  rb_rounds : int;
-  rb_moves : int;
-  rb_skipped : int;
-  rb_move_json : string;
-  rb_fingerprint : int * int * int * int * int;
-}
-
-(* closed-loop single-key writers uniform over the hot set; aborted
-   commits retry (they cost time, not commits — that is the goodput) *)
-let reb_writers c ~writers ~per_writer ~seed ~hot =
-  let done_writers = ref 0 in
-  for i = 0 to writers - 1 do
-    let client = Cluster.client c in
-    let rng = Xrand.create ~seed:(seed + (101 * (i + 1))) () in
-    let committed = ref 0 and attempt = ref 0 in
-    let rec next () =
-      if !committed < per_writer then begin
-        incr attempt;
-        let vid = hot.(Xrand.int rng (Array.length hot)) in
-        let tx = Client.Tx.begin_ client in
-        Client.Tx.set_vertex_prop tx ~vid ~key:"n" ~value:(string_of_int !attempt);
-        Client.commit_async client tx ~on_result:(fun r ->
-            (match r with Ok () -> incr committed | Error _ -> ());
-            next ())
-      end
-      else incr done_writers
-    in
-    next ()
-  done;
-  done_writers
-
-let reb_arm ~rebalance ~seed =
-  let c = mk_cluster (reb_cfg ~rebalance ~seed) in
-  let setup = Cluster.client c in
-  let tx = Client.Tx.begin_ setup in
-  for i = 0 to reb_keys - 1 do
-    ignore (Client.Tx.create_vertex tx ~id:(reb_key i) ())
-  done;
-  ok_exn "rebalance setup" (Client.commit setup tx);
-  Cluster.run_for c 5_000.0;
-  (* hot sets by *initial* residency: phase A hammers shard 0's vertices,
-     phase B shard 1's (untouched by phase A's moves, so the flip really
-     does land the load on one cold shard) *)
-  let residents s =
-    Array.of_list
-      (List.filter
-         (fun v -> Cluster.shard_of_vertex c v = s)
-         (List.init reb_keys reb_key))
-  in
-  let take16 a = Array.sub a 0 (min 16 (Array.length a)) in
-  let hot_a = take16 (residents 0) and hot_b = take16 (residents 1) in
-  let h = Option.get (Cluster.heat c) in
-  let t0 = Cluster.now c in
-  let done_a = reb_writers c ~writers:8 ~per_writer:120 ~seed ~hot:hot_a in
-  skew_drain c ~done_writers:done_a ~writers:8 ~label:"rebalance phase A";
-  let skew_pre = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  let done_b =
-    reb_writers c ~writers:8 ~per_writer:120 ~seed:(seed + 7) ~hot:hot_b
-  in
-  Cluster.run_for c 5_000.0;
-  let skew_spike = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  skew_drain c ~done_writers:done_b ~writers:8 ~label:"rebalance phase B";
-  let skew_post = Weaver_obs.Heat.skew h ~now:(Cluster.now c) in
-  let t1 = Cluster.now c in
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  let move_json =
-    match Cluster.balancer c with
-    | None -> "[]"
-    | Some b ->
-        "["
-        ^ String.concat ", "
-            (List.map
-               (fun m ->
-                 Printf.sprintf
-                   "{\"t_us\": %.0f, \"vid\": \"%s\", \"from\": %d, \"to\": %d}"
-                   m.Balancer.mv_time m.Balancer.mv_vid m.Balancer.mv_from
-                   m.Balancer.mv_to)
-               (Balancer.move_log b))
-        ^ "]"
-  in
-  {
-    rb_committed = ctr.Runtime.tx_committed;
-    rb_aborted = ctr.Runtime.tx_aborted;
-    rb_skew_pre = skew_pre;
-    rb_skew_spike = skew_spike;
-    rb_skew_post = skew_post;
-    rb_goodput = float_of_int (2 * 8 * 120) /. (t1 -. t0) *. 1.0e6;
-    rb_rounds = ctr.Runtime.rebal_rounds;
-    rb_moves = ctr.Runtime.rebal_moves;
-    rb_skipped = ctr.Runtime.rebal_skipped;
-    rb_move_json = move_json;
-    rb_fingerprint =
-      ( ctr.Runtime.tx_committed,
-        ctr.Runtime.tx_aborted,
-        ctr.Runtime.oracle_consults,
-        Weaver_sim.Net.messages_sent rt.Runtime.net,
-        ctr.Runtime.nop_msgs );
-  }
+(* Rebalance ({!Rebalancebench}, §4.6): after the hot-set flip the
+   on arm's skew must return to within 1.2× of its pre-flip (converged)
+   value, while the rebalance-off arm stays pinned above the hysteresis
+   bar. Goodput must stay within 10% of the off arm (migrations abort
+   racing writers, not the reverse), and the whole run — move log
+   included — reruns bit-identically. Emits BENCH_rebalance.json. *)
 
 let rebalance () =
   header "Rebalance: closing the sense-plan-act loop on a hot-spot flip";
-  let seed = 19 in
-  let on = reb_arm ~rebalance:true ~seed in
-  let off = reb_arm ~rebalance:false ~seed in
-  line "%-4s %10s %9s %10s %10s %10s %7s %7s" "arm" "committed" "goodput"
-    "skew pre" "spike" "post" "moves" "skips";
-  let row tag (r : reb_arm) =
-    line "%-4s %10d %9.0f %10.3f %10.3f %10.3f %7d %7d" tag r.rb_committed
-      r.rb_goodput r.rb_skew_pre r.rb_skew_spike r.rb_skew_post r.rb_moves
-      r.rb_skipped
-  in
-  row "off" off;
-  row "on" on;
+  let open Rebalancebench in
+  let seed = default_opts.re_seed in
+  let reb_arm ~rebalance = run { default_opts with re_rebalance = rebalance } in
+  let on = reb_arm ~rebalance:true in
+  let off = reb_arm ~rebalance:false in
+  print_string (table [ ("off", off); ("on", on) ]);
   (* the loop must close: post-flip skew back within 1.2x of pre-flip *)
   if on.rb_moves = 0 then failwith "rebalance: planner never moved anything";
   if on.rb_skew_post > 1.2 *. on.rb_skew_pre then
@@ -1793,7 +1251,7 @@ let rebalance () =
       (Printf.sprintf "rebalance: skew %.3f did not recover (pre-flip %.3f)"
          on.rb_skew_post on.rb_skew_pre);
   (* without the planner the hot spot stays pinned above the hysteresis bar *)
-  if off.rb_skew_post < Config.default.Config.rebalance_hysteresis then
+  if off.rb_skew_post < Balancer.hysteresis then
     failwith
       (Printf.sprintf "rebalance: off arm unexpectedly balanced (skew %.3f)"
          off.rb_skew_post);
@@ -1803,9 +1261,9 @@ let rebalance () =
   line "goodput delta %.2f%% (migrations abort racing writers, bounded)"
     (100.0 *. goodput_delta);
   if goodput_delta > 0.10 then failwith "rebalance: goodput delta above 10%";
-  let again = reb_arm ~rebalance:true ~seed in
+  let again = reb_arm ~rebalance:true in
   let deterministic =
-    again.rb_fingerprint = on.rb_fingerprint && again.rb_move_json = on.rb_move_json
+    again.rb_fingerprint = on.rb_fingerprint && again.rb_move_log = on.rb_move_log
   in
   line "deterministic rerun: %b" deterministic;
   if not deterministic then failwith "rebalance: rerun diverged";
@@ -1814,119 +1272,46 @@ let rebalance () =
   j "{\n  \"experiment\": \"rebalance\",\n  \"seed\": %d,\n" seed;
   j
     "  \"workload\": {\"writers\": 8, \"commits_per_writer_per_phase\": 120, \
-     \"hot_set\": 16, \"keys\": %d, \"shards\": 4, \"gatekeepers\": 2, \
-     \"rebalance_period_us\": 10000},\n"
-    reb_keys;
-  let arm tag (r : reb_arm) last =
-    j
-      "  \"%s\": {\"committed\": %d, \"aborted\": %d, \"goodput_per_s\": %.0f, \
-       \"skew_pre_flip\": %.4f, \"skew_spike\": %.4f, \"skew_post_flip\": \
-       %.4f, \"rounds\": %d, \"moves\": %d, \"skipped\": %d, \"move_log\": \
-       %s}%s\n"
-      tag r.rb_committed r.rb_aborted r.rb_goodput r.rb_skew_pre r.rb_skew_spike
-      r.rb_skew_post r.rb_rounds r.rb_moves r.rb_skipped r.rb_move_json
-      (if last then "" else ",")
-  in
-  arm "off" off false;
-  arm "on" on false;
+     \"hot_set\": 16, \"keys\": 128, \"shards\": 4, \"gatekeepers\": 2, \
+     \"rebalance_period_us\": 10000},\n";
+  j "  \"off\": %s,\n" (to_json off);
+  j "  \"on\": %s,\n" (to_json on);
   j "  \"goodput_delta\": %.4f,\n" goodput_delta;
   j "  \"deterministic_rerun\": %b\n}\n" deterministic;
   close_out oc;
   line "wrote BENCH_rebalance.json"
 
 (* ------------------------------------------------------------------ *)
-(* Replication: read scale-out from timestamp-consistent partial
-   replication of hot ranges (ROADMAP item 3). A Zipf-skewed weak-read
-   pool saturates the hot range's owner; raising the replication factor
-   spreads those reads over follower copies without touching the write
-   path. The chaos arm pins a read at a covered stamp and crashes the
-   owner mid-flight. *)
+(* Replication ({!Replbench}): read scale-out from partial replication
+   of hot ranges, then a covered pinned read across an owner crash. *)
 
-type repl_run = {
-  rp_goodput : float;
-  rp_reads_err : int;
-  rp_writes : float;
-  rp_read_p50 : float;
-  rp_read_p99 : float;
-  rp_installs : int;
-  rp_routed : int;
-  rp_updates : int;
-  rp_fingerprint : (int * int * int * int) * (int * int * int);
-}
-
-let repl_seed = 29
-
-let repl_bench_cfg ~factor ~seed =
-  {
-    Config.default with
-    Config.seed;
-    n_gatekeepers = 4;
-    n_shards = 4;
-    enable_heat = true;
-    enable_replication = factor > 0;
-    replication_factor = factor;
-    gc_period = 2_000.0;
-    (* reads must be the scarce resource for scale-out to show: with the
-       default 1 µs read the gatekeeper plane and the wire dominate and
-       every arm measures the same thing *)
-    vertex_read_cost = 40.0;
-  }
-
-let repl_arm ~factor ~theta ~seed =
-  let c = mk_cluster (repl_bench_cfg ~factor ~seed) in
-  let rng = Xrand.create ~seed:(seed * 31) () in
-  let g = Graphgen.uniform ~rng ~vertices:64 ~edges:128 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
-  let r =
-    Readscale.run c ~vertices ~readers:48 ~writers:8 ~duration:250_000.0 ~theta
-      ~warmup:50_000.0 ()
+(* owner crash under fire: warm a replicated range until a weak read is
+   routed to a follower, pin a read at a covered stamp, crash the owner,
+   re-issue — same answer. Returns (crashed owner, warm-up reads). *)
+let owner_crash ~seed =
+  let c =
+    Scenario.cluster
+      {
+        Config.default with
+        Config.seed;
+        n_gatekeepers = 1;
+        n_shards = 4;
+        enable_heat = true;
+        enable_replication = true;
+        replication_factor = 2;
+        gc_period = 2_000.0;
+      }
   in
-  let ctr = Cluster.counters c in
-  let rt = Cluster.runtime c in
-  {
-    rp_goodput = r.Readscale.read_goodput;
-    rp_reads_err = r.Readscale.reads_err;
-    rp_writes = r.Readscale.write_throughput;
-    rp_read_p50 = Stats.percentile r.Readscale.read_latencies 50.0;
-    rp_read_p99 = Stats.percentile r.Readscale.read_latencies 99.0;
-    rp_installs = ctr.Runtime.repl_installs;
-    rp_routed = ctr.Runtime.repl_routed;
-    rp_updates = ctr.Runtime.repl_updates;
-    rp_fingerprint =
-      ( ( ctr.Runtime.tx_committed,
-          ctr.Runtime.tx_aborted,
-          ctr.Runtime.progs_completed,
-          ctr.Runtime.vertices_read ),
-        ( Weaver_sim.Net.messages_sent rt.Runtime.net,
-          ctr.Runtime.oracle_consults,
-          ctr.Runtime.nop_msgs ) );
-  }
-
-(* owner crash under fire: warm a replicated range, pin a read at a
-   follower-covered stamp, crash the owner, re-issue — same answer *)
-let repl_chaos ~seed =
-  let cfg =
-    {
-      (repl_bench_cfg ~factor:2 ~seed) with
-      Config.n_gatekeepers = 1;
-      vertex_read_cost = Config.default.Config.vertex_read_cost;
-    }
-  in
-  let c = mk_cluster cfg in
   let client = Cluster.client c in
-  let tx = Client.Tx.begin_ client in
-  ignore (Client.Tx.create_vertex tx ~id:"hot" ());
-  ok_exn "replication chaos setup" (Client.commit client tx);
+  Scenario.create_vertices client [ "hot" ];
   let owner = Cluster.shard_of_vertex c "hot" in
   let ctr = Cluster.counters c in
   let tries = ref 0 in
   while ctr.Runtime.repl_routed = 0 && !tries < 300 do
     incr tries;
     ignore
-      (Client.run_program client ~prog:"get_node" ~params:Progval.Null
-         ~starts:[ "hot" ] ~consistency:`Weak ());
+      (Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ]
+         ~consistency:`Weak ());
     Cluster.run_for c 200.0
   done;
   if ctr.Runtime.repl_routed = 0 then
@@ -1945,45 +1330,35 @@ let repl_chaos ~seed =
   in
   let read_at () =
     ok_exn "replication chaos pinned read"
-      (Client.run_program client ~prog:"get_node" ~params:Progval.Null
-         ~starts:[ "hot" ] ~at:ts ())
+      (Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "hot" ]
+         ~at:ts ())
   in
   let baseline = prop_v (read_at ()) in
-  if baseline <> Some "final" then
-    failwith "replication chaos: pinned read missed the write";
+  if baseline <> Some "final" then failwith "replication chaos: pinned read missed the write";
   let crash_at = Cluster.now c +. 500.0 in
   ignore
     (Cluster.install_fault_plan c
        (Weaver_sim.Fault.scripted
           [ (crash_at, Weaver_sim.Fault.Crash (Weaver_sim.Fault.Shard owner)) ]));
   Cluster.run_for c 1_000.0;
-  let after = prop_v (read_at ()) in
-  if after <> baseline then
+  if prop_v (read_at ()) <> baseline then
     failwith "replication chaos: covered read diverged after owner crash";
   (owner, !tries)
 
 let replication () =
   header "Replication: read scale-out from hot-range partial replication";
+  let open Replbench in
+  let seed = default_opts.rl_seed in
+  let repl_arm ~factor ~theta = run { default_opts with rl_factor = factor; rl_theta = theta } in
   let factors = [ 0; 1; 2; 3 ] and thetas = [ 0.6; 0.9; 1.1 ] in
   let runs =
-    List.map
-      (fun theta ->
-        (theta, List.map (fun f -> (f, repl_arm ~factor:f ~theta ~seed:repl_seed)) factors))
+    List.concat_map
+      (fun theta -> List.map (fun factor -> repl_arm ~factor ~theta) factors)
       thetas
   in
-  line "%-6s %-7s %9s %9s %9s %9s %9s %8s %8s" "theta" "factor" "reads/s"
-    "writes/s" "p50us" "p99us" "errs" "installs" "routed";
-  List.iter
-    (fun (theta, arms) ->
-      List.iter
-        (fun (f, r) ->
-          line "%-6.1f %-7d %9.0f %9.0f %9.0f %9.0f %9d %8d %8d" theta f
-            r.rp_goodput r.rp_writes r.rp_read_p50 r.rp_read_p99 r.rp_reads_err
-            r.rp_installs r.rp_routed)
-        arms)
-    runs;
+  print_string (table runs);
   let arm ~theta ~factor =
-    List.assoc factor (List.assoc theta runs)
+    List.find (fun r -> r.rp_theta = theta && r.rp_factor = factor) runs
   in
   let base = arm ~theta:0.9 ~factor:0 and best = arm ~theta:0.9 ~factor:3 in
   let speedup = best.rp_goodput /. base.rp_goodput in
@@ -1997,38 +1372,22 @@ let replication () =
       (Printf.sprintf
          "replication: write throughput sagged %.0f -> %.0f (>5%%)"
          base.rp_writes best.rp_writes);
-  let again = repl_arm ~factor:3 ~theta:0.9 ~seed:repl_seed in
+  let again = repl_arm ~factor:3 ~theta:0.9 in
   let deterministic = again.rp_fingerprint = best.rp_fingerprint in
   line "deterministic rerun: %b" deterministic;
   if not deterministic then failwith "replication: rerun diverged";
-  let crashed_owner, warm_tries = repl_chaos ~seed:repl_seed in
+  let crashed_owner, warm_tries = owner_crash ~seed in
   line "chaos: covered pinned read survived crash of owner shard %d" crashed_owner;
   let oc = open_out "BENCH_replication.json" in
   let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"replication\",\n  \"seed\": %d,\n" repl_seed;
+  j "{\n  \"experiment\": \"replication\",\n  \"seed\": %d,\n" seed;
   j
     "  \"workload\": {\"vertices\": 64, \"edges\": 128, \"readers\": 48, \
      \"writers\": 8, \"duration_us\": 250000, \"warmup_us\": 50000, \
      \"shards\": 4, \"gatekeepers\": 4, \"vertex_read_cost_us\": 40},\n";
-  j "  \"arms\": [\n";
-  let n_arms = List.length factors * List.length thetas in
-  let i = ref 0 in
-  List.iter
-    (fun (theta, arms) ->
-      List.iter
-        (fun (f, r) ->
-          incr i;
-          j
-            "    {\"theta\": %.1f, \"factor\": %d, \"read_goodput_per_s\": \
-             %.0f, \"write_throughput_per_s\": %.0f, \"read_p50_us\": %.0f, \
-             \"read_p99_us\": %.0f, \"read_errors\": %d, \"installs\": %d, \
-             \"routed\": %d, \"updates\": %d}%s\n"
-            theta f r.rp_goodput r.rp_writes r.rp_read_p50 r.rp_read_p99
-            r.rp_reads_err r.rp_installs r.rp_routed r.rp_updates
-            (if !i = n_arms then "" else ","))
-        arms)
-    runs;
-  j "  ],\n";
+  j "  \"arms\": [\n%s\n  ],\n"
+    (String.concat ",\n"
+       (List.map (fun r -> "    " ^ to_json r) runs));
   j "  \"read_scaleout_theta09_f3_vs_f0\": %.4f,\n" speedup;
   j "  \"write_delta_theta09_f3_vs_f0\": %.4f,\n"
     (best.rp_writes /. base.rp_writes);

@@ -121,7 +121,7 @@ let start_manager cluster =
   Runtime.register rt mgr.m_addr (fun ~src msg ->
       manager_handle cluster ~src msg);
   let cfgv = rt.Runtime.cfg in
-  Engine.every rt.Runtime.engine ~period:cfgv.Config.heartbeat_period (fun () ->
+  Engine.every rt.Runtime.engine ~period:Config.heartbeat_period (fun () ->
       let failures =
         Membership.detect_failures mgr.membership
           ~now:(Engine.now rt.Runtime.engine)

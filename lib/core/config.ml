@@ -8,14 +8,11 @@ type t = {
   store_op_cost : float;
   gk_op_cost : float;
   vertex_read_cost : float;
-  vertex_write_cost : float;
-  heartbeat_period : float;
   failure_timeout : float;
   gc_period : float;
   enable_memoization : bool;
   dedup_window : int;
   shard_capacity : int option;
-  page_in_cost : float;
   read_replicas : int;
   adaptive_tau : bool;
   oracle_replicas : int;
@@ -34,19 +31,18 @@ type t = {
   enable_heat : bool;
   heat_topk : int;
   heat_ranges : int;
-  heat_half_life : float;
   enable_health : bool;
   health_period : float;
   enable_rebalance : bool;
   rebalance_period : float;
   rebalance_max_moves : int;
-  rebalance_hysteresis : float;
   net_batching : bool;
   enable_replication : bool;
   replication_factor : int;
-  repl_candidate_topk : int;
   seed : int;
 }
+
+let heartbeat_period = 20_000.0
 
 let default =
   {
@@ -59,14 +55,11 @@ let default =
     store_op_cost = 30.0;
     gk_op_cost = 20.0;
     vertex_read_cost = 1.0;
-    vertex_write_cost = 2.0;
-    heartbeat_period = 20_000.0;
     failure_timeout = 100_000.0;
     gc_period = 50_000.0;
     enable_memoization = false;
     dedup_window = 512;
     shard_capacity = None;
-    page_in_cost = 150.0;
     read_replicas = 0;
     adaptive_tau = false;
     oracle_replicas = 1;
@@ -85,17 +78,14 @@ let default =
     enable_heat = false;
     heat_topk = 8;
     heat_ranges = 64;
-    heat_half_life = 50_000.0;
     enable_health = false;
     health_period = 10_000.0;
     enable_rebalance = false;
     rebalance_period = 25_000.0;
     rebalance_max_moves = 8;
-    rebalance_hysteresis = 1.5;
     net_batching = false;
     enable_replication = false;
     replication_factor = 1;
-    repl_candidate_topk = 4;
     seed = 42;
   }
 
@@ -117,13 +107,10 @@ let validate t =
   req "store_op_cost" (t.store_op_cost >= 0.0);
   req "gk_op_cost" (t.gk_op_cost >= 0.0);
   req "vertex_read_cost" (t.vertex_read_cost >= 0.0);
-  req "vertex_write_cost" (t.vertex_write_cost >= 0.0);
-  req "heartbeat_period" (t.heartbeat_period > 0.0);
-  req "failure_timeout" (t.failure_timeout > t.heartbeat_period);
+  req "failure_timeout" (t.failure_timeout > heartbeat_period);
   req "gc_period" (t.gc_period >= 0.0);
   req "dedup_window" (t.dedup_window >= 0);
   req "shard_capacity" (match t.shard_capacity with Some n -> n > 0 | None -> true);
-  req "page_in_cost" (t.page_in_cost >= 0.0);
   req "read_replicas" (t.read_replicas >= 0);
   req "oracle_replicas" (t.oracle_replicas >= 1);
   req "trace_capacity" (t.trace_capacity >= 1);
@@ -143,19 +130,14 @@ let validate t =
      nesting, that home shard is simply wrong (see Heat.home_shard) *)
   req "heat_ranges (must be a multiple of n_shards)"
     ((not t.enable_heat) || t.heat_ranges mod t.n_shards = 0);
-  req "heat_half_life" (t.heat_half_life > 0.0);
   req "health_period" (t.health_period > 0.0);
   req "rebalance_period" (t.rebalance_period > 0.0);
   req "rebalance_max_moves" (t.rebalance_max_moves >= 1);
-  (* a band below 1.0 would mark shards at or below the mean as overloaded
-     and the planner would thrash moves between balanced shards *)
-  req "rebalance_hysteresis" (t.rebalance_hysteresis >= 1.0);
   (* the planner is sense -> plan -> act: without the heat sensor there is
      nothing to plan from *)
   req "enable_rebalance (requires enable_heat)"
     ((not t.enable_rebalance) || t.enable_heat);
   req "replication_factor" (t.replication_factor >= 0);
-  req "repl_candidate_topk" (t.repl_candidate_topk >= 1);
   (* candidate ranges come straight from the heat sketches *)
   req "enable_replication (requires enable_heat)"
     ((not t.enable_replication) || t.enable_heat);

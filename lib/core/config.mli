@@ -21,9 +21,9 @@ type t = {
           throughput scale with added gatekeepers (Fig. 12) *)
   vertex_read_cost : float;
       (** shard-side cost to read one vertex in a node program, µs *)
-  vertex_write_cost : float;  (** shard-side cost to apply one write, µs *)
-  heartbeat_period : float;  (** µs between server heartbeats *)
-  failure_timeout : float;  (** µs without heartbeat before declared dead *)
+  failure_timeout : float;
+      (** µs without heartbeat before declared dead; must exceed
+          {!heartbeat_period} *)
   gc_period : float;  (** µs between GC watermark rounds; 0 disables GC *)
   enable_memoization : bool;
       (** node-program result caching with write invalidation (§4.6);
@@ -37,7 +37,6 @@ type t = {
   shard_capacity : int option;
       (** max vertices resident in shard memory; [Some n] enables demand
           paging from the backing store (§6.1), [None] = unbounded *)
-  page_in_cost : float;  (** µs to demand-page one vertex from the store *)
   read_replicas : int;
       (** read-only replicas per shard (paper §6.4, "similar to TAO"):
           primaries stream applied transactions to them asynchronously and
@@ -137,9 +136,6 @@ type t = {
           be a multiple of [n_shards] when [enable_heat] is set
           (validated), so every range nests inside exactly one home shard
           under hashed placement — see {!align_heat_ranges} *)
-  heat_half_life : float;
-      (** half-life of the decayed range/shard load accumulators, in
-          virtual µs *)
   enable_health : bool;
       (** cluster health watchdog ({!Weaver_obs.Health}): a periodic
           check over instruments that already exist — watermark stall,
@@ -163,12 +159,6 @@ type t = {
   rebalance_max_moves : int;
       (** max vertex migrations issued per planner round (bounds the
           background migration traffic a round may inject) *)
-  rebalance_hysteresis : float;
-      (** overload threshold as a multiple of the mean decayed shard load
-          (≥ 1.0): a shard is overloaded only above [hysteresis × mean],
-          and a candidate vertex moves only if its range heat exceeds the
-          [(hysteresis − 1) × mean] band — the gap is what prevents move
-          thrash on a merely-noisy balanced cluster *)
   net_batching : bool;
       (** coalesce small control-plane messages ([Msg.Credit],
           [Msg.Heartbeat], [Msg.Commit_note], NOP [Msg.Shard_tx],
@@ -195,11 +185,11 @@ type t = {
   replication_factor : int;
       (** follower copies installed per replicated hot range (≥ 0; 0 keeps
           the controller idle — useful to pin knob-neutrality) *)
-  repl_candidate_topk : int;
-      (** hot-vertex sketch entries per shard the controller considers as
-          replication candidates each round (≥ 1) *)
   seed : int;  (** master RNG seed; runs are deterministic per seed *)
 }
+
+val heartbeat_period : float
+(** µs between server heartbeats: 20 ms. *)
 
 val default : t
 (** 2 gatekeepers, 4 shards, τ = 1000 µs, NOPs every 10 µs, datacenter-like

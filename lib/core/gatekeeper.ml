@@ -1100,7 +1100,7 @@ let start_timers t =
         true
       end);
   (* heartbeats to the cluster manager *)
-  Engine.every engine ~period:(cfg t).Config.heartbeat_period (fun () ->
+  Engine.every engine ~period:Config.heartbeat_period (fun () ->
       if t.retired then false
       else begin
         if alive t then begin

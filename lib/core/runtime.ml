@@ -169,6 +169,9 @@ let obs_net_hook t =
           | Some trace -> Trace.message tr ~trace ~time ~src ~dst ~kind:(Msg.kind msg)
           | None -> ())
 
+(* half-life of the decayed range/shard heat accumulators, virtual µs *)
+let heat_half_life = 50_000.0
+
 let create cfg =
   Config.validate cfg;
   let engine = Engine.create ~seed:cfg.Config.seed () in
@@ -250,7 +253,7 @@ let create cfg =
            Some
              (Heat.create ~shards:cfg.Config.n_shards ~k:cfg.Config.heat_topk
                 ~ranges:cfg.Config.heat_ranges
-                ~half_life:cfg.Config.heat_half_life)
+                ~half_life:heat_half_life)
          else None);
       next_client = 0;
     }

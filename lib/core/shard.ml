@@ -10,6 +10,12 @@ module Flow = Weaver_flow.Flow
 module Heat = Weaver_obs.Heat
 module Repl = Weaver_repl.Repl
 
+(* shard-side cost to apply one write, µs *)
+let vertex_write_cost = 2.0
+
+(* µs to demand-page one vertex from the store *)
+let page_in_cost = 150.0
+
 type queued_tx = {
   q_seq : int;
   q_ts : Vclock.t;
@@ -231,7 +237,7 @@ let lookup_vertex t h vid =
               touch t h;
               evict_to_capacity t ~keep:h;
               (counters t).Runtime.page_ins <- (counters t).Runtime.page_ins + 1;
-              (Some v, (cfg t).Config.page_in_cost)
+              (Some v, page_in_cost)
           | _ -> (None, 0.0)))
 
 (* ------------------------------------------------------------------ *)
@@ -306,9 +312,9 @@ let apply_tx t ~gk (qt : queued_tx) =
   List.iter (apply_op t qt.q_ts) qt.q_ops;
   t.busy_until <-
     Float.max t.busy_until (Engine.now t.rt.Runtime.engine)
-    +. ((cfg t).Config.vertex_write_cost *. float_of_int (List.length qt.q_ops));
+    +. (vertex_write_cost *. float_of_int (List.length qt.q_ops));
   t.busy_us <-
-    t.busy_us +. ((cfg t).Config.vertex_write_cost *. float_of_int (List.length qt.q_ops));
+    t.busy_us +. (vertex_write_cost *. float_of_int (List.length qt.q_ops));
   (* stream the applied transaction to read-only replicas, in this
      primary's execution order (asynchronous fan-out, §6.4) *)
   if qt.q_ops <> [] then begin
@@ -1157,7 +1163,7 @@ let handle t ~src:_ msg =
     | _ -> ()
 
 let start_timers t =
-  Engine.every t.rt.Runtime.engine ~period:(cfg t).Config.heartbeat_period (fun () ->
+  Engine.every t.rt.Runtime.engine ~period:Config.heartbeat_period (fun () ->
       if t.retired then false
       else begin
         if Net.is_alive t.rt.Runtime.net t.addr then begin

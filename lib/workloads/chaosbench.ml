@@ -119,14 +119,10 @@ let run opts =
     }
   in
   Config.validate cfg;
-  let c = Cluster.create cfg in
-  Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
   let graph_rng = Xrand.create ~seed:opts.co_seed () in
-  let g =
-    Graphgen.uniform ~rng:graph_rng ~prefix:"c" ~vertices:400 ~edges:1_600 ()
+  let c, vertices =
+    Scenario.install cfg (Graphgen.uniform ~rng:graph_rng ~prefix:"c" ~vertices:400 ~edges:1_600 ())
   in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
   let base = Cluster.now c in
   let plan = plan_of opts ~base in
   ignore (Cluster.install_fault_plan c plan);
@@ -143,7 +139,6 @@ let run opts =
       end
       else err.(idx) <- err.(idx) + 1
   in
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
   let master = Xrand.create ~seed:(opts.co_seed + 1) () in
   for _ = 1 to opts.co_clients do
     let rng = Xrand.split master in
@@ -194,6 +189,15 @@ let run opts =
 
 (* hand-rolled, canonical-order JSON: determinism of the rendered bytes is
    part of the contract (the chaos experiment diffs two runs' strings) *)
+let summary tag r =
+  Printf.sprintf
+    "%-4s availability %.3f | ok %d err %d | p99 %.1f ms | recovery %s | retries %d dedup %d late %d"
+    tag r.r_availability r.r_total_ok r.r_total_err (r.r_p99 /. 1_000.0)
+    (match r.r_recovery_time with
+    | Some t -> Printf.sprintf "%.0f ms" (t /. 1_000.0)
+    | None -> "never")
+    r.r_retries r.r_dedup_hits r.r_late_replies
+
 let to_json r =
   let b = Buffer.create 1_024 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in

@@ -64,6 +64,9 @@ val plan_of : opts -> base:float -> Weaver_sim.Fault.plan
 
 val run : opts -> result
 
+val summary : string -> result -> string
+(** One line per labelled run, as the bench prints it. *)
+
 val to_json : result -> string
 (** Canonical JSON rendering (stable field order, fixed float precision) —
     byte-identical across runs with equal options. *)

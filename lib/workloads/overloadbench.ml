@@ -83,13 +83,10 @@ let run opts =
     }
   in
   Config.validate cfg;
-  let c = Cluster.create cfg in
-  Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
   let graph_rng = Xrand.create ~seed:opts.ov_seed () in
-  let g = Graphgen.uniform ~rng:graph_rng ~prefix:"o" ~vertices:300 ~edges:900 () in
-  Loader.fast_install c g;
-  Cluster.run_for c 5_000.0;
-  let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let c, vertices =
+    Scenario.install cfg (Graphgen.uniform ~rng:graph_rng ~prefix:"o" ~vertices:300 ~edges:900 ())
+  in
   let rng = Xrand.create ~seed:(opts.ov_seed + 1) () in
   let pick () = vertices.(Xrand.int rng (Array.length vertices)) in
   let clients =
@@ -172,6 +169,16 @@ let run opts =
         Weaver_sim.Net.messages_sent rt.Runtime.net,
         cnt.Runtime.nop_msgs );
   }
+
+let table sweep =
+  let row mult tag r =
+    Printf.sprintf "%-6.2f %-5s %9d %9d %8d %8d %8.0f %10.1f %10.1f %9.1f\n" mult tag r.v_offered
+      r.v_ok r.v_shed r.v_timeout r.v_goodput r.v_p50 r.v_p99 (100.0 *. r.v_shed_rate)
+  in
+  String.concat ""
+    (Printf.sprintf "%-6s %-5s %9s %9s %8s %8s %8s %10s %10s %9s\n" "load" "arm" "offered" "ok"
+       "shed" "timeout" "goodput" "p50 us" "p99 us" "shed%"
+    :: List.concat_map (fun (mult, off, on_) -> [ row mult "off" off; row mult "on" on_ ]) sweep)
 
 (* canonical-order JSON, hand-rolled like the other workload reporters:
    byte determinism of the rendering is part of the contract *)

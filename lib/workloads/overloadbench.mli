@@ -64,6 +64,10 @@ type result = {
 
 val run : opts -> result
 
+val table : (float * result * result) list -> string
+(** Column header, then a flow-off and a flow-on row per (load multiple,
+    off, on) triple, as the bench prints them. *)
+
 val to_json : result -> string
 (** Canonical JSON rendering (stable field order, fixed float precision) —
     byte-identical across runs with equal options. *)
