@@ -515,7 +515,7 @@ let ablation_nop () =
 let ablation_replicas () =
   header "Ablation A5: read-only shard replicas (par. 6.4)";
   (* shard-bound fan-out reads: replicas take weak-consistency traffic off
-     the primaries, roughly doubling read capacity per replica *)
+     the primaries, each adding about one primary's read capacity *)
   let run ~replicas ~consistency =
     let cfg =
       {
@@ -556,7 +556,10 @@ let ablation_replicas () =
   line "%-28s %12.0f" "primaries only (strong)" strong;
   line "%-28s %12.0f" "1 replica/shard (weak)" weak1;
   line "%-28s %12.0f" "2 replicas/shard (weak)" weak2;
-  line "weak reads may be stale by the replication lag (one network hop)"
+  line "weak reads may be stale by the replication lag (one network hop)";
+  (* the §6.4 shape: each replica adds close to one primary's capacity *)
+  if weak1 < 1.8 *. strong then failwith "A5: 1 replica/shard below 1.8x primaries only";
+  if weak2 < 2.7 *. strong then failwith "A5: 2 replicas/shard below 2.7x primaries only"
 
 let ablation_adaptive_tau () =
   header "Ablation A6: dynamic clock-synchronization period (par. 3.5)";

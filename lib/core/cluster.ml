@@ -20,7 +20,7 @@ type t = {
   rt : Runtime.t;
   mutable gks : Gatekeeper.t array;
   mutable shards : Shard.t array;
-  mutable replicas : Replica.t array array; (* [shard].[replica] *)
+  mutable replicas : Shard.t array array; (* read replicas, [shard].[replica] *)
   mgr : manager;
   trace_ring : (float * int * int * string) Queue.t;
   health : Health.t option;  (* Some iff [Config.enable_health] *)
@@ -179,7 +179,8 @@ let create cfg =
     Array.init cfg.Config.n_shards (fun sid -> Shard.spawn rt ~sid ~epoch:0);
   cluster.replicas <-
     Array.init cfg.Config.n_shards (fun sid ->
-        Array.init cfg.Config.read_replicas (fun rid -> Replica.spawn rt ~sid ~rid));
+        Array.init cfg.Config.read_replicas (fun replica ->
+            Shard.spawn rt ~sid ~epoch:0 ~replica));
   Array.iter
     (fun gk ->
       Membership.register mgr.membership ~id:(Runtime.gk_addr rt (Gatekeeper.gid gk))
@@ -272,10 +273,10 @@ let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
 
 let reload_shards t =
   Array.iter Shard.reload t.shards;
-  Array.iter (Array.iter Replica.reload) t.replicas
+  Array.iter (Array.iter Shard.reload) t.replicas
 
-let replica_vertex t ~shard ~replica vid = Replica.vertex t.replicas.(shard).(replica) vid
-let replica_applied t ~shard ~replica = Replica.applied t.replicas.(shard).(replica)
+let replica_vertex t ~shard ~replica vid = Shard.vertex t.replicas.(shard).(replica) vid
+let replica_applied t ~shard ~replica = Shard.applied t.replicas.(shard).(replica)
 
 let shard_queue_depths t sid = Shard.queue_depths t.shards.(sid)
 
@@ -442,11 +443,15 @@ let apply_fault t action =
          owners streaming to it must mark it dirty and reseed at the next
          watermark instead of resuming a broken stream *)
       Array.iteri
-        (fun sid sh -> if sid <> s then Shard.on_peer_restart sh ~peer:s)
+        (fun sid sh -> if sid <> s then Shard.on_peer_restart sh ~peer:t.shards.(s))
         t.shards;
       Net.set_alive net (fault_addr t target) true
   | Fault.Restart (Fault.Replica { shard; replica } as target) ->
-      Replica.reload t.replicas.(shard).(replica);
+      (* a read replica restarts like a follower shard: reload, and have
+         its primary reseed it at the next watermark *)
+      let r = t.replicas.(shard).(replica) in
+      Shard.resync r;
+      Shard.on_peer_restart t.shards.(shard) ~peer:r;
       Net.set_alive net (fault_addr t target) true
   | Fault.Net_degrade f -> Net.set_latency_factor net f
   | Fault.Link_degrade { src; dst; factor } ->

@@ -56,7 +56,8 @@ val apply_fault : t -> Weaver_sim.Fault.action -> unit
     oracle replicas); restarts revive the same instance in place —
     gatekeepers drop their memo table ({!Gatekeeper.on_revive}), shards
     resynchronize their FIFO channels and reload from the store
-    ({!Shard.resync}), replicas reload, and oracle-replica restarts are
+    ({!Shard.resync}), read replicas resync likewise and are reseeded by
+    their primary at its next watermark, and oracle-replica restarts are
     documented no-ops (the chain has no state-transfer rejoin).
     [Net_degrade]/[Link_degrade] scale simulated latencies. *)
 
@@ -100,7 +101,7 @@ val replica_vertex :
 (** In-memory record at a read-only replica (tests). *)
 
 val replica_applied : t -> shard:int -> replica:int -> int
-(** Replication-stream transactions applied by a replica (tests). *)
+(** Replication-stream updates applied by a replica (tests). *)
 
 val gk_tau : t -> int -> float
 (** Gatekeeper [i]'s current announce period (§3.5 adaptive τ). *)

@@ -11,7 +11,6 @@ type t = {
   failure_timeout : float;
   gc_period : float;
   enable_memoization : bool;
-  dedup_window : int;
   shard_capacity : int option;
   read_replicas : int;
   adaptive_tau : bool;
@@ -27,7 +26,6 @@ type t = {
   deadline_budget : float;
   shard_credits : int;
   snapshot_reads : bool;
-  snapshot_retain : int;
   enable_heat : bool;
   heat_topk : int;
   heat_ranges : int;
@@ -58,7 +56,6 @@ let default =
     failure_timeout = 100_000.0;
     gc_period = 50_000.0;
     enable_memoization = false;
-    dedup_window = 512;
     shard_capacity = None;
     read_replicas = 0;
     adaptive_tau = false;
@@ -74,7 +71,6 @@ let default =
     deadline_budget = 0.0;
     shard_credits = 0;
     snapshot_reads = false;
-    snapshot_retain = 4;
     enable_heat = false;
     heat_topk = 8;
     heat_ranges = 64;
@@ -109,7 +105,6 @@ let validate t =
   req "vertex_read_cost" (t.vertex_read_cost >= 0.0);
   req "failure_timeout" (t.failure_timeout > heartbeat_period);
   req "gc_period" (t.gc_period >= 0.0);
-  req "dedup_window" (t.dedup_window >= 0);
   req "shard_capacity" (match t.shard_capacity with Some n -> n > 0 | None -> true);
   req "read_replicas" (t.read_replicas >= 0);
   req "oracle_replicas" (t.oracle_replicas >= 1);
@@ -120,7 +115,6 @@ let validate t =
   req "admission_limit" (t.admission_limit >= 0);
   req "deadline_budget" (t.deadline_budget >= 0.0);
   req "shard_credits" (t.shard_credits >= 0);
-  req "snapshot_retain" (t.snapshot_retain >= 1);
   (* snapshots are published at watermark boundaries, which only exist
      while the GC gossip timer runs *)
   req "snapshot_reads" ((not t.snapshot_reads) || t.gc_period > 0.0);

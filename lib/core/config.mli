@@ -28,20 +28,16 @@ type t = {
   enable_memoization : bool;
       (** node-program result caching with write invalidation (§4.6);
           disabled in the headline benches, as in the paper *)
-  dedup_window : int;
-      (** committed [(client, tx_id)] pairs each gatekeeper remembers
-          (FIFO-bounded) so a client retry of an already-committed
-          transaction replies [Ok] instead of double-applying; peers learn
-          commits via [Msg.Commit_note]. 0 disables duplicate
-          suppression *)
   shard_capacity : int option;
       (** max vertices resident in shard memory; [Some n] enables demand
           paging from the backing store (§6.1), [None] = unbounded *)
   read_replicas : int;
       (** read-only replicas per shard (paper §6.4, "similar to TAO"):
-          primaries stream applied transactions to them asynchronously and
-          clients may direct node programs at them with weak consistency —
-          reads can be stale, in exchange for extra read capacity *)
+          whole-partition followers that primaries feed over their
+          replication stream (and reseed after restarts and epoch
+          barriers); clients may direct node programs at them with weak
+          consistency — reads can be stale, in exchange for extra read
+          capacity *)
   adaptive_tau : bool;
       (** dynamic clock-synchronization period (§3.5): each gatekeeper
           adjusts its announce period to the observed request rate —
@@ -116,10 +112,6 @@ type t = {
           Pinned snapshots clamp the shard's compaction watermark (they
           are never compacted out from under a running program). Off by
           default; requires [gc_period > 0] *)
-  snapshot_retain : int;
-      (** published snapshots each shard retains beyond the pinned set
-          (≥ 1); older unpinned snapshots are pruned as the watermark
-          window rolls forward *)
   enable_heat : bool;
       (** load-heat attribution ({!Weaver_obs.Heat}): per-shard
           Space-Saving top-K heavy-hitter sketches over vertex touches

@@ -36,7 +36,7 @@ type t = {
   (* duplicate suppression: committed (client, tx_id) pairs — local commits
      and peers' commit notes — with the reads their Tx_reply carried, so a
      retry of an already-committed transaction is answered instead of
-     re-executed. FIFO-bounded by [Config.dedup_window]. *)
+     re-executed. FIFO-bounded by [dedup_window]. *)
   dedup : (int * int, (string * Progval.t) list) Hashtbl.t;
   dedup_q : (int * int) Queue.t;
   in_progress : (int * int, unit) Hashtbl.t;
@@ -277,17 +277,17 @@ let invalidate_memo_remote t written =
       (counters t).Runtime.memo_remote_invalidations <-
         (counters t).Runtime.memo_remote_invalidations + 1)
 
+(* committed (client, tx_id) pairs each gatekeeper remembers *)
+let dedup_window = 512
+
 let record_dedup t ~client ~tx_id ~reads =
-  let window = (cfg t).Config.dedup_window in
-  if window > 0 then begin
-    let key = (client, tx_id) in
-    if not (Hashtbl.mem t.dedup key) then begin
-      Hashtbl.replace t.dedup key reads;
-      Queue.push key t.dedup_q;
-      while Queue.length t.dedup_q > window do
-        Hashtbl.remove t.dedup (Queue.pop t.dedup_q)
-      done
-    end
+  let key = (client, tx_id) in
+  if not (Hashtbl.mem t.dedup key) then begin
+    Hashtbl.replace t.dedup key reads;
+    Queue.push key t.dedup_q;
+    while Queue.length t.dedup_q > dedup_window do
+      Hashtbl.remove t.dedup (Queue.pop t.dedup_q)
+    done
   end
 
 (* tell the peer gatekeepers about a commit: written-vertex set for memo
@@ -673,125 +673,88 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
                 sent_at = now t;
               }
           in
-          (match (weak_choices, repl_heat) with
-          | Some choices, Some h ->
-              (* replication-routed weak run: every start range has a
-                 chosen follower; the whole run reads the re-stamped cut *)
-              let by_dst = Hashtbl.create 4 in
-              let routed = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let owner = Runtime.shard_of_vertex t.rt vid in
-                  let dst, is_follower =
-                    match Hashtbl.find_opt choices (Heat.range_of h vid) with
-                    | Some (f, _) -> (f, f <> owner)
-                    | None -> (owner, false)
-                  in
-                  let l = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst ((vid, params) :: l);
-                  if is_follower then Hashtbl.replace routed dst ())
-                starts;
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  if Hashtbl.mem routed shard then
-                    (counters t).Runtime.repl_routed <-
-                      (counters t).Runtime.repl_routed + 1;
-                  send t ~dst:(Runtime.shard_addr t.rt shard) (batch items))
-                by_dst
-          | None, Some h when historical && not snapshot_routed ->
-              (* pinned stamp: rotate each start over the live copies that
-                 cover it — owner plus covering followers. With the owner
-                 crashed, covered reads keep flowing to the survivors. *)
-              let by_dst = Hashtbl.create 4 in
-              let routed = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let owner = Runtime.shard_of_vertex t.rt vid in
-                  let range = Heat.range_of h vid in
+          (* one destination shard per start vertex: its owner, unless
+             replication routes it. A re-stamped weak run reads at its
+             chosen followers (every start range has one, so the whole run
+             reads the re-stamped cut); a pinned-stamp run rotates each
+             start over the live copies that cover it — owner plus
+             covering followers, so with the owner crashed covered reads
+             keep flowing to the survivors *)
+          let route =
+            match (weak_choices, repl_heat) with
+            | Some choices, Some h ->
+                Some (fun vid owner ->
+                  match Hashtbl.find_opt choices (Heat.range_of h vid) with
+                  | Some (f, _) -> f
+                  | None -> owner)
+            | None, Some h when historical && not snapshot_routed ->
+                Some (fun vid owner ->
                   let covering =
                     List.filter
                       (fun f -> f <> owner && alive_shard f)
-                      (Repl.Table.covering t.repl ~range ~at:ts)
+                      (Repl.Table.covering t.repl ~range:(Heat.range_of h vid) ~at:ts)
                   in
-                  let cands =
-                    if alive_shard owner then owner :: covering else covering
-                  in
-                  let dst, is_follower =
-                    match cands with
-                    | [] -> (owner, false)
-                    | [ only ] -> (only, only <> owner)
-                    | _ ->
-                        let f = rotate cands in
-                        (f, f <> owner)
-                  in
-                  let l = try Hashtbl.find by_dst dst with Not_found -> [] in
-                  Hashtbl.replace by_dst dst ((vid, params) :: l);
-                  if is_follower then Hashtbl.replace routed dst ())
-                starts;
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  if Hashtbl.mem routed shard then
-                    (counters t).Runtime.repl_routed <-
-                      (counters t).Runtime.repl_routed + 1;
-                  send t ~dst:(Runtime.shard_addr t.rt shard) (batch items))
-                by_dst
-          | _ ->
-              let by_shard = Hashtbl.create 4 in
-              List.iter
-                (fun vid ->
-                  let shard = Runtime.shard_of_vertex t.rt vid in
-                  let l = try Hashtbl.find by_shard shard with Not_found -> [] in
-                  Hashtbl.replace by_shard shard ((vid, params) :: l))
-                starts;
-              (* weak reads rotate across the primary and its read replicas,
-                 so every replica adds read capacity (§6.4) — except
-                 historical reads when snapshot serving is on: only
-                 primaries publish and pin snapshots, so route those to the
-                 primary where they run lock-free instead of against a
-                 replica's unversioned-floor state *)
-              let slot =
-                if weak && n_replicas > 0 && not snapshot_routed then begin
-                  (* skip rotation slots with a crashed replica on any
-                     target shard: a read routed to a dead endpoint burns
-                     the client's whole timeout before it retries. The
-                     primary slot is always eligible, and with every
-                     replica alive the rotation is unchanged. *)
-                  let eligible slot =
-                    slot >= n_replicas
-                    || Hashtbl.fold
-                         (fun shard _ acc ->
-                           acc
-                           && Net.is_alive t.rt.Runtime.net
-                                (Runtime.replica_addr t.rt ~shard ~replica:slot))
-                         by_shard true
-                  in
-                  let rec advance tries =
-                    t.next_replica <- (t.next_replica + 1) mod (n_replicas + 1);
-                    if eligible t.next_replica || tries = 0 then t.next_replica
-                    else advance (tries - 1)
-                  in
-                  advance n_replicas
-                end
-                else n_replicas (* the primary *)
+                  match if alive_shard owner then owner :: covering else covering with
+                  | [] -> owner
+                  | [ only ] -> only
+                  | cands -> rotate cands)
+            | _ -> None
+          in
+          let dst_of = Option.value route ~default:(fun _ owner -> owner) in
+          let by_dst = Hashtbl.create 4 in
+          let routed = Hashtbl.create 4 in
+          List.iter
+            (fun vid ->
+              let owner = Runtime.shard_of_vertex t.rt vid in
+              let dst = dst_of vid owner in
+              let l = try Hashtbl.find by_dst dst with Not_found -> [] in
+              Hashtbl.replace by_dst dst ((vid, params) :: l);
+              if dst <> owner then Hashtbl.replace routed dst ())
+            starts;
+          (* weak reads that replication did not route rotate across the
+             primary and its read replicas, so every replica adds read
+             capacity (§6.4) — except historical reads when snapshot
+             serving is on: only primaries publish and pin snapshots, so
+             route those to the primary where they run lock-free *)
+          let slot =
+            if weak && n_replicas > 0 && Option.is_none route && not snapshot_routed
+            then begin
+              (* skip rotation slots with a crashed replica on any target
+                 shard: a read routed to a dead endpoint burns the client's
+                 whole timeout before it retries. The primary slot is
+                 always eligible, and with every replica alive the rotation
+                 is unchanged. *)
+              let eligible slot =
+                slot >= n_replicas
+                || Hashtbl.fold
+                     (fun shard _ acc ->
+                       acc
+                       && Net.is_alive t.rt.Runtime.net
+                            (Runtime.replica_addr t.rt ~shard ~replica:slot))
+                     by_dst true
               in
-              Hashtbl.iter
-                (fun shard items ->
-                  run.pr_outstanding <- run.pr_outstanding + 1;
-                  (counters t).Runtime.prog_batch_msgs <-
-                    (counters t).Runtime.prog_batch_msgs + 1;
-                  let dst =
-                    if slot < n_replicas then
-                      Runtime.replica_addr t.rt ~shard ~replica:slot
-                    else Runtime.shard_addr t.rt shard
-                  in
-                  send t ~dst (batch items))
-                by_shard);
+              let rec advance tries =
+                t.next_replica <- (t.next_replica + 1) mod (n_replicas + 1);
+                if eligible t.next_replica || tries = 0 then t.next_replica
+                else advance (tries - 1)
+              in
+              advance n_replicas
+            end
+            else n_replicas (* the primary *)
+          in
+          Hashtbl.iter
+            (fun shard items ->
+              run.pr_outstanding <- run.pr_outstanding + 1;
+              (counters t).Runtime.prog_batch_msgs <-
+                (counters t).Runtime.prog_batch_msgs + 1;
+              if Hashtbl.mem routed shard then
+                (counters t).Runtime.repl_routed <- (counters t).Runtime.repl_routed + 1;
+              let dst =
+                if slot < n_replicas then Runtime.replica_addr t.rt ~shard ~replica:slot
+                else Runtime.shard_addr t.rt shard
+              in
+              send t ~dst (batch items))
+            by_dst;
           if run.pr_outstanding = 0 then begin
             (* no live start vertices: answer immediately *)
             Hashtbl.remove t.active prog_id;
@@ -799,6 +762,13 @@ let handle_prog_req t ~client ~prog_id ~prog ~params ~starts ~at ~weak =
               (counters t).Runtime.progs_completed + 1;
             send t ~dst:client (Msg.Prog_reply { prog_id; result = Ok P.empty })
           end)
+
+(* release per-vertex program state on every shard (§4.5); each primary
+   relays the release to its read replicas *)
+let release_prog t prog_id =
+  for s = 0 to (cfg t).Config.n_shards - 1 do
+    send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id })
+  done
 
 let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
   match Hashtbl.find_opt t.active prog_id with
@@ -817,14 +787,7 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
             ();
           send t ~dst:run.pr_client
             (Msg.Prog_reply { prog_id; result = Error reason });
-          for s = 0 to (cfg t).Config.n_shards - 1 do
-            send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id });
-            for r = 0 to (cfg t).Config.read_replicas - 1 do
-              send t
-                ~dst:(Runtime.replica_addr t.rt ~shard:s ~replica:r)
-                (Msg.Prog_gc { prog_id })
-            done
-          done
+          release_prog t prog_id
       | None -> (
       match Nodeprog.find t.rt.Runtime.registry run.pr_prog with
       | None -> ()
@@ -843,15 +806,7 @@ let handle_prog_partial t ~prog_id ~sent ~acc ~visited ~error =
               ();
             send t ~dst:run.pr_client
               (Msg.Prog_reply { prog_id; result = Ok run.pr_acc });
-            (* release per-vertex program state on every shard (§4.5) *)
-            for s = 0 to (cfg t).Config.n_shards - 1 do
-              send t ~dst:(Runtime.shard_addr t.rt s) (Msg.Prog_gc { prog_id });
-              for r = 0 to (cfg t).Config.read_replicas - 1 do
-                send t
-                  ~dst:(Runtime.replica_addr t.rt ~shard:s ~replica:r)
-                  (Msg.Prog_gc { prog_id })
-              done
-            done;
+            release_prog t prog_id;
             (* only non-historical runs ever carry a memo key (see
                [memo_key]): a snapshot-bound result must not serve, or be
                served to, current reads *)

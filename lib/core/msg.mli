@@ -119,9 +119,10 @@ type t =
   | Credit of { shard : int; gk : int; n : int }
       (** shard → gatekeeper, control-plane: [n] forwarded transactions
           were applied; return their flow-control credits. Also reused
-          follower-shard → owner-shard under partial replication
-          ([Config.enable_replication]): [shard] is then the follower id
-          returning a replication-stream credit *)
+          follower → owner shard on the replication stream: [shard] is
+          then the follower's credit-ledger column (its shard id, or
+          [n_shards + r] for the owner's read replica [r]) returning a
+          stream credit *)
   | Repl_install of { range : int; owner : int; followers : int list }
       (** replication controller → owner shard, follower shards, and all
           gatekeepers: replicate hot range [range] (owned by [owner]) onto
@@ -133,9 +134,11 @@ type t =
       ts : Weaver_vclock.Vclock.t;
       ops : shard_op list;
     }
-      (** owner shard → follower shard, over the ordinary FIFO channel:
-          [ops <> []] streams one applied transaction's writes to the range
-          with its commit stamp; [ops = []] is a watermark heartbeat — the
+      (** owner shard → follower (a range follower shard, or a read
+          replica for the whole-partition [range = -1]), over the ordinary
+          FIFO channel: [ops <> []] streams one applied transaction's
+          writes to the range with its commit stamp; [ops = []] is a
+          range follower's watermark heartbeat — the
           owner has applied everything at or below [ts], and FIFO order
           guarantees the follower received those updates first *)
   | Repl_seed of {
@@ -148,7 +151,8 @@ type t =
           watermark [ts] — the owner's multi-version records verbatim
           (immutable, so sharing is safe). Sent at the first watermark
           after install and whenever the stream was interrupted (credit
-          exhaustion); subsequent [Repl_update]s apply cleanly on top
+          exhaustion, a follower restart, an epoch barrier); subsequent
+          [Repl_update]s apply cleanly on top
           because FIFO order puts them after the seed *)
   | Repl_cover of { range : int; follower : int; ts : Weaver_vclock.Vclock.t }
       (** follower shard → all gatekeepers: this follower's copy of

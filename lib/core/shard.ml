@@ -16,8 +16,10 @@ let vertex_write_cost = 2.0
 (* µs to demand-page one vertex from the store *)
 let page_in_cost = 150.0
 
+(* published snapshots kept beyond the pinned ones *)
+let snapshot_retain = 4
+
 type queued_tx = {
-  q_seq : int;
   q_ts : Vclock.t;
   q_ops : Msg.shard_op list;
   q_trace : int; (* originating request's trace id (0 for NOPs) *)
@@ -47,16 +49,26 @@ type parked_prog = {
       (* pinned snapshot this batch reads from; None = live graph *)
 }
 
-(* Partial replication ([Config.enable_replication], ROADMAP item 3).
+(* Replication: one owner→follower stream for both kinds of copy. The
+   hot-range followers of [Config.enable_replication] copy single heat
+   ranges onto peer shards; the read replicas of §6.4
+   ([Config.read_replicas]) copy the whole partition and own nothing.
    Owner side: per-range follower lists plus the set of followers whose
-   stream is interrupted (install just happened, or a credit column ran
-   dry) and who therefore need a wholesale reseed at the next watermark
-   boundary. Follower side: per-range owner and the monotone replication
-   watermark this copy is known to cover ([None] until the first seed). *)
+   stream is interrupted (install or restart just happened, an epoch
+   barrier passed, or a credit column ran dry) and who therefore need a
+   wholesale reseed at the next watermark boundary. Followers are
+   credit-ledger peers: shard [s] is peer [s], read replica [r] of this
+   shard is peer [n_shards + r]. Follower side: per-range owner and the
+   monotone replication watermark this copy is known to cover ([None]
+   until the first seed). *)
 type repl_out = {
   ro_followers : int list;
   ro_dirty : (int, unit) Hashtbl.t;
 }
+
+(* the [repl_out] key of the whole-partition stream to the read replicas;
+   heat ranges are non-negative *)
+let whole = -1
 
 type repl_in = {
   rin_owner : int;
@@ -71,7 +83,16 @@ type repl_in = {
 type t = {
   rt : Runtime.t;
   sid : int;
+      (* a read replica keeps its primary's sid: directory, heat and hop
+         decisions treat it as that partition *)
+  replica : int option;
+      (* [Some r]: read replica [r] of shard [sid] (§6.4) — a
+         whole-partition follower fed by its primary's stream, with no
+         FIFO queues, no watermark/GC round and no snapshots, serving weak
+         batches ungated at its applied state *)
+  peer : int; (* this copy's column in an owner's credit ledger *)
   addr : int;
+  actor : string;
   names : Intern.t;
       (* hash-consed vertex-id handles: every shard-internal table below is
          keyed by a dense int handle, so the hot path (apply_op, node-program
@@ -114,20 +135,22 @@ type t = {
          silently reading post-compaction state *)
   repl_out : (int, repl_out) Hashtbl.t;  (* ranges owned here, replicated out *)
   repl_in : (int, repl_in) Hashtbl.t;  (* ranges followed here *)
-  repl_graph : (string, Mgraph.vertex) Hashtbl.t;
-      (* follower copies of other owners' hot ranges, keyed by the vid
-         string and kept strictly apart from [graph]: these records are
-         never owned, never paged, never compacted here *)
+  repl_graph : (int, Mgraph.vertex) Hashtbl.t;
+      (* follower copies of other owners' hot ranges, kept strictly apart
+         from [graph]: these records are never owned, never paged, never
+         compacted here *)
   repl_credits : Flow.Credits.t;
-      (* owner→follower stream credits (one column per peer shard, sized
+      (* owner→follower stream credits (one column per follower peer, sized
          by [Config.shard_credits]): a slow follower drains its column and
          the stream is interrupted (dirty + reseed) instead of growing the
          follower's queue without bound *)
+  mutable applied : int; (* stream updates applied as a follower *)
   mutable retired : bool;
 }
 
 let sid t = t.sid
 let epoch t = t.epoch
+let applied t = t.applied
 let vertex t vid =
   match Intern.find t.names vid with
   | Some h -> Hashtbl.find_opt t.graph h
@@ -147,8 +170,19 @@ let gc_floor t = t.gc_floor
 let cfg t = t.rt.Runtime.cfg
 let counters t = t.rt.Runtime.counters
 let send t ~dst msg = Runtime.send t.rt ~src:t.addr ~dst msg
-let actor t = "shard" ^ string_of_int t.sid
 let now t = Engine.now t.rt.Runtime.engine
+
+(* where this copy sends work for partition [s]: a replica stays on the
+   sibling replicas so a whole weak traversal runs on copies *)
+let partition_addr t s =
+  match t.replica with
+  | None -> Runtime.shard_addr t.rt s
+  | Some replica -> Runtime.replica_addr t.rt ~shard:s ~replica
+
+let follower_addr t peer =
+  let n = (cfg t).Config.n_shards in
+  if peer < n then Runtime.shard_addr t.rt peer
+  else Runtime.replica_addr t.rt ~shard:t.sid ~replica:(peer - n)
 
 (* the decision procedure for version stamps: vector clocks, then cached or
    fresh oracle decisions; ties prefer the first argument (transactions
@@ -166,20 +200,23 @@ let repl_range t vid =
 let repl_followed_ranges t =
   List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_in [])
 
-let repl_owned_ranges t =
+(* every stream this shard owns, the whole-partition one ([whole]) first *)
+let repl_streams t =
   List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_out [])
+
+let repl_owned_ranges t = List.filter (fun r -> r <> whole) (repl_streams t)
 
 (* follower-side lookup: serve a vertex from a followed range copy iff the
    range's replication watermark covers the read stamp — then the copy has
    every version the read could see, and the answer is bit-identical to
    the owner's at the same cut *)
-let repl_lookup t vid at =
+let repl_lookup t h vid at =
   if Hashtbl.length t.repl_in = 0 then None
   else
     match Hashtbl.find_opt t.repl_in (repl_range t vid) with
     | Some { rin_wm = Some wm; rin_floor = Some floor; _ }
       when Repl.covers ~wm at && not (Vclock.precedes at floor) ->
-        Hashtbl.find_opt t.repl_graph vid
+        Hashtbl.find_opt t.repl_graph h
     | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -259,23 +296,35 @@ let op_vertex (op : Msg.shard_op) =
   | Msg.S_del_eprop { src; _ } ->
       src
 
-let apply_op t ts (op : Msg.shard_op) =
+(* Apply one op at [ts]. Every copy goes through here: the owner's own
+   apply, a read replica's whole-partition copy (both on [graph], demand
+   paged) and a hot-range follower copy ([copy]: on [repl_graph], never
+   paged, no LRU). Only the owner records write heat — the copies mirror a
+   touch it already counted. A copy drops ops for vertices it does not
+   hold: a later read misses and falls back to the owner (or the store),
+   so incompleteness is never incorrectness. *)
+let apply_op t ~copy ts (op : Msg.shard_op) =
   (* every op lands on exactly [op_vertex op] (edge ops live on their
      source), so one intern covers all the table work below *)
   let vid = op_vertex op in
-  Runtime.heat_write t.rt ~shard:t.sid vid;
+  if t.replica = None && not copy then Runtime.heat_write t.rt ~shard:t.sid vid;
   let h = Intern.id t.names vid in
   let bf = before t in
-  let update f =
-    match lookup_vertex t h vid with
-    | Some v, _ -> Hashtbl.replace t.graph h (f v)
-    | None, _ -> ()
-  in
-  match op with
-  | Msg.S_create_vertex _ ->
-      Hashtbl.replace t.graph h (Mgraph.create_vertex ~vid ~at:ts);
+  let graph = if copy then t.repl_graph else t.graph in
+  let adopt v =
+    Hashtbl.replace graph h v;
+    if not copy then begin
       touch t h;
       evict_to_capacity t ~keep:h
+    end
+  in
+  let update f =
+    match if copy then Hashtbl.find_opt graph h else fst (lookup_vertex t h vid) with
+    | Some v -> Hashtbl.replace graph h (f v)
+    | None -> ()
+  in
+  match op with
+  | Msg.S_create_vertex _ -> adopt (Mgraph.create_vertex ~vid ~at:ts)
   | Msg.S_delete_vertex _ -> update (fun v -> Mgraph.delete_vertex v ~at:ts)
   | Msg.S_add_edge { eid; dst; _ } ->
       update (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
@@ -292,72 +341,59 @@ let apply_op t ts (op : Msg.shard_op) =
       (* adopt: pull the current durable record (it includes every write
          committed before this op's store transaction, §4.6) *)
       match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-      | Some (Runtime.Vrec v) ->
-          Hashtbl.replace t.graph h v;
-          touch t h;
-          evict_to_capacity t ~keep:h
+      | Some (Runtime.Vrec v) -> adopt v
       | _ -> ())
-  | Msg.S_migrate_out _ -> Hashtbl.remove t.graph h
+  | Msg.S_migrate_out _ -> Hashtbl.remove graph h
+
+(* Stream applied ops to every clean follower of one owned stream, in this
+   owner's execution order (FIFO channels make in-order application
+   converge). A follower whose credit column ran dry is marked dirty and
+   skipped — it gets a wholesale reseed at the next watermark instead of
+   an unbounded queue. *)
+let stream t ~range ts ops =
+  let out = Hashtbl.find t.repl_out range in
+  List.iter
+    (fun f ->
+      if not (Hashtbl.mem out.ro_dirty f) then
+        if Flow.Credits.exhausted t.repl_credits f then Hashtbl.replace out.ro_dirty f ()
+        else begin
+          Flow.Credits.consume t.repl_credits f;
+          (counters t).Runtime.repl_updates <- (counters t).Runtime.repl_updates + 1;
+          send t ~dst:(follower_addr t f)
+            (Msg.Repl_update { range; owner = t.sid; ts; ops })
+        end)
+    out.ro_followers
 
 let apply_tx t ~gk (qt : queued_tx) =
   if qt.q_ops <> [] then begin
     (* time between arrival on the FIFO queue and execution — the
        timestamp-ordering wait the paper's Fig. 9 latency includes *)
     Runtime.observe t.rt "shard.queue_wait" (now t -. qt.q_enq);
-    Runtime.trace_span t.rt ~trace:qt.q_trace ~name:"shard.queue" ~actor:(actor t)
+    Runtime.trace_span t.rt ~trace:qt.q_trace ~name:"shard.queue" ~actor:t.actor
       ~start:qt.q_enq ~stop:(now t)
       ~meta:[ ("ops", string_of_int (List.length qt.q_ops)) ]
       ()
   end;
-  List.iter (apply_op t qt.q_ts) qt.q_ops;
+  List.iter (apply_op t ~copy:false qt.q_ts) qt.q_ops;
   t.busy_until <-
     Float.max t.busy_until (Engine.now t.rt.Runtime.engine)
     +. (vertex_write_cost *. float_of_int (List.length qt.q_ops));
   t.busy_us <-
     t.busy_us +. (vertex_write_cost *. float_of_int (List.length qt.q_ops));
-  (* stream the applied transaction to read-only replicas, in this
-     primary's execution order (asynchronous fan-out, §6.4) *)
   if qt.q_ops <> [] then begin
-    for r = 0 to (cfg t).Config.read_replicas - 1 do
-      send t
-        ~dst:(Runtime.replica_addr t.rt ~shard:t.sid ~replica:r)
-        (Msg.Shard_tx
-           { gk = 0; seq = qt.q_seq; ts = qt.q_ts; ops = qt.q_ops; trace = qt.q_trace })
-    done;
-    (* partial replication: stream the ops that land in replicated hot
-       ranges to their followers, in this owner's execution order (FIFO
-       channels make in-order application converge, like the §6.4 replica
-       stream). A follower whose credit column ran dry is marked dirty and
-       skipped — it gets a wholesale reseed at the next watermark instead
-       of an unbounded queue. *)
+    (* replication: the read replicas take the whole transaction, each
+       replicated hot range the ops that land in it *)
     if Hashtbl.length t.repl_out > 0 then begin
+      if Hashtbl.mem t.repl_out whole then stream t ~range:whole qt.q_ts qt.q_ops;
       let by_range = Hashtbl.create 4 in
       List.iter
         (fun op ->
           let r = repl_range t (op_vertex op) in
-          if Hashtbl.mem t.repl_out r then
+          if r <> whole && Hashtbl.mem t.repl_out r then
             Hashtbl.replace by_range r
               (op :: Option.value ~default:[] (Hashtbl.find_opt by_range r)))
         qt.q_ops;
-      Hashtbl.iter
-        (fun r rev_ops ->
-          let out = Hashtbl.find t.repl_out r in
-          let ops = List.rev rev_ops in
-          List.iter
-            (fun f ->
-              if not (Hashtbl.mem out.ro_dirty f) then
-                if Flow.Credits.exhausted t.repl_credits f then
-                  Hashtbl.replace out.ro_dirty f ()
-                else begin
-                  Flow.Credits.consume t.repl_credits f;
-                  (counters t).Runtime.repl_updates <-
-                    (counters t).Runtime.repl_updates + 1;
-                  send t
-                    ~dst:(Runtime.shard_addr t.rt f)
-                    (Msg.Repl_update { range = r; owner = t.sid; ts = qt.q_ts; ops })
-                end)
-            out.ro_followers)
-        by_range
+      Hashtbl.iter (fun r rev_ops -> stream t ~range:r qt.q_ts (List.rev rev_ops)) by_range
     end;
     (* flow control: return the credit this transaction spent at its
        gatekeeper. NOPs never carried one (control class). *)
@@ -366,42 +402,6 @@ let apply_tx t ~gk (qt : queued_tx) =
       send t ~dst:(Runtime.gk_addr t.rt gk) (Msg.Credit { shard = t.sid; gk; n = 1 })
     end
   end
-
-(* Apply one streamed op to a follower copy. Mirrors the owner's
-   [apply_op] onto [repl_graph]: same multi-version updates, but no heat
-   write attribution (the owner already recorded the touch when it applied
-   the transaction), no paging, no LRU. Ops for vertices the copy does not
-   hold are dropped — a later read of such a vertex misses the copy and is
-   forwarded to the owner, so incompleteness is never incorrectness. *)
-let repl_apply_op t ts (op : Msg.shard_op) =
-  let bf = before t in
-  let update vid f =
-    match Hashtbl.find_opt t.repl_graph vid with
-    | Some v -> Hashtbl.replace t.repl_graph vid (f v)
-    | None -> ()
-  in
-  match op with
-  | Msg.S_create_vertex vid ->
-      Hashtbl.replace t.repl_graph vid (Mgraph.create_vertex ~vid ~at:ts)
-  | Msg.S_delete_vertex vid -> update vid (fun v -> Mgraph.delete_vertex v ~at:ts)
-  | Msg.S_add_edge { src; eid; dst } ->
-      update src (fun v -> Mgraph.add_edge v ~eid ~dst ~at:ts)
-  | Msg.S_del_edge { src; eid } -> update src (fun v -> Mgraph.delete_edge v ~eid ~at:ts)
-  | Msg.S_set_vprop { vid; key; value } ->
-      update vid (fun v -> Mgraph.set_vertex_prop bf v ~key ~value ~at:ts)
-  | Msg.S_del_vprop { vid; key } ->
-      update vid (fun v -> Mgraph.del_vertex_prop bf v ~key ~at:ts)
-  | Msg.S_set_eprop { src; eid; key; value } ->
-      update src (fun v -> Mgraph.set_edge_prop bf v ~eid ~key ~value ~at:ts)
-  | Msg.S_del_eprop { src; eid; key } ->
-      update src (fun v -> Mgraph.del_edge_prop bf v ~eid ~key ~at:ts)
-  | Msg.S_migrate_in vid -> (
-      (* the vertex moved onto the owner: adopt the durable record, like
-         the owner itself does *)
-      match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-      | Some (Runtime.Vrec v) -> Hashtbl.replace t.repl_graph vid v
-      | _ -> ())
-  | Msg.S_migrate_out vid -> Hashtbl.remove t.repl_graph vid
 
 let advertise_cover t range ts =
   for g = 0 to (cfg t).Config.n_gatekeepers - 1 do
@@ -467,7 +467,7 @@ let execute_prog_batch t (p : parked_prog) =
   | Some (module P : Nodeprog.PROGRAM) ->
       (* time this batch spent parked behind the refinable-timestamp gate *)
       Runtime.observe t.rt "shard.prog_gate_wait" (now t -. p.p_since);
-      Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:(actor t)
+      Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_gate" ~actor:t.actor
         ~start:p.p_since ~stop:(now t) ();
       let exec_start = now t in
       let states = prog_states t p.p_id in
@@ -518,7 +518,7 @@ let execute_prog_batch t (p : parked_prog) =
            watermark covers the read stamp serves it in place of the
            owner — this is where follower capacity becomes read capacity *)
         let vrec =
-          match vrec with Some _ -> vrec | None -> repl_lookup t vid p.p_ts
+          match vrec with Some _ -> vrec | None -> repl_lookup t h vid p.p_ts
         in
         page_cost := !page_cost +. pc;
         match vrec with
@@ -572,7 +572,7 @@ let execute_prog_batch t (p : parked_prog) =
       Engine.schedule_at t.rt.Runtime.engine ~time:t.busy_until (fun () ->
           if not t.retired then begin
             Runtime.trace_span t.rt ~trace:p.p_id ~name:"shard.prog_exec"
-              ~actor:(actor t) ~start:exec_start ~stop:(now t)
+              ~actor:t.actor ~start:exec_start ~stop:(now t)
               ~meta:[ ("visited", string_of_int (List.length visited)) ]
               ();
             let sent = Hashtbl.length remote in
@@ -580,8 +580,7 @@ let execute_prog_batch t (p : parked_prog) =
               (fun hshard items ->
                 (counters t).Runtime.prog_batch_msgs <-
                   (counters t).Runtime.prog_batch_msgs + 1;
-                send t
-                  ~dst:(Runtime.shard_addr t.rt hshard)
+                send t ~dst:(partition_addr t hshard)
                   (Msg.Prog_batch
                      {
                        coord = p.p_coord;
@@ -849,57 +848,86 @@ and try_advance t =
 (* ------------------------------------------------------------------ *)
 (* Recovery (§4.3): restore this shard's partition from the backing store. *)
 
-let reload_from_store t =
+let clear_partition t =
   Hashtbl.reset t.graph;
   Queue.clear t.lru;
-  Hashtbl.reset t.lru_count;
-  let records = Store.scan_prefix t.rt.Runtime.store ~prefix:"v/" in
-  let cap = (cfg t).Config.shard_capacity in
+  Hashtbl.reset t.lru_count
+
+(* add one record to the partition copy, up to the demand-paging capacity *)
+let adopt_vertex t vid v =
+  let under_cap =
+    match (cfg t).Config.shard_capacity with
+    | None -> true
+    | Some c -> Hashtbl.length t.graph < c
+  in
+  if under_cap then begin
+    let h = Intern.id t.names vid in
+    Hashtbl.replace t.graph h v;
+    touch t h
+  end
+
+let reload_from_store t =
+  clear_partition t;
   List.iter
     (fun (key, value) ->
       match value with
       | Runtime.Vrec v ->
           let vid = String.sub key 2 (String.length key - 2) in
-          if Runtime.shard_of_vertex t.rt vid = t.sid then begin
-            let under_cap =
-              match cap with None -> true | Some c -> Hashtbl.length t.graph < c
-            in
-            if under_cap then begin
-              let h = Intern.id t.names vid in
-              Hashtbl.replace t.graph h v;
-              touch t h
-            end
-          end
+          if Runtime.shard_of_vertex t.rt vid = t.sid then adopt_vertex t vid v
       | _ -> ())
-    records
+    (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/")
+
+let add_stream t ~range ~dirty followers =
+  let ro_dirty = Hashtbl.create 4 in
+  if dirty then List.iter (fun f -> Hashtbl.replace ro_dirty f ()) followers;
+  Hashtbl.replace t.repl_out range { ro_followers = followers; ro_dirty }
+
+(* mark [peer] (every follower when [None]) for a wholesale reseed at the
+   next watermark, refilling its credit column: stream traffic it was owed
+   died with a restart or an epoch barrier *)
+let mark_dirty ?peer t =
+  Hashtbl.iter
+    (fun _ out ->
+      List.iter
+        (fun f ->
+          if peer = None || peer = Some f then begin
+            Hashtbl.replace out.ro_dirty f ();
+            Flow.Credits.reset_peer t.repl_credits f
+          end)
+        out.ro_followers)
+    t.repl_out
+
+(* Drop everything a crash or an epoch barrier invalidates — queued
+   transactions, FIFO bookkeeping, parked programs, the in-flight consult,
+   snapshots and pins — and reload the partition from the store. The
+   reload restores the full version history, so the compaction floor
+   resets too. *)
+let reset_and_reload t =
+  Array.iter Queue.clear t.queues;
+  Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
+  Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
+  Array.fill t.last_applied 0 (Array.length t.last_applied) None;
+  t.parked <- [];
+  t.oracle_inflight <- false;
+  Hashtbl.reset t.oracle_batch;
+  t.oracle_batch_list <- [];
+  t.oracle_gen <- t.oracle_gen + 1;
+  Snapshot.clear t.snaps;
+  Hashtbl.reset t.pins;
+  t.gc_floor <- None;
+  Flow.Credits.reset t.repl_credits;
+  reload_from_store t
 
 let handle_epoch_change t new_epoch =
   if new_epoch > t.epoch then begin
     t.epoch <- new_epoch;
-    Array.iter Queue.clear t.queues;
-    Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
-    Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-    Array.fill t.last_applied 0 (Array.length t.last_applied) None;
-    t.parked <- [];
-    t.oracle_inflight <- false;
-    Hashtbl.reset t.oracle_batch;
-    t.oracle_batch_list <- [];
-    t.oracle_gen <- t.oracle_gen + 1;
-    (* in-memory snapshots and pins die with the epoch; the reload below
-       restores the full version history, so the compaction floor resets *)
-    Snapshot.clear t.snaps;
-    Hashtbl.reset t.pins;
-    t.gc_floor <- None;
     (* replication across the barrier: old-epoch watermarks can never
        cover new-epoch reads, and in-flight stream traffic died with the
-       queues — stop advertising and reseed every follower *)
+       queues — stop advertising and reseed every follower, read replicas
+       included *)
     Hashtbl.iter (fun _ rin -> rin.rin_wm <- None) t.repl_in;
-    Hashtbl.iter
-      (fun _ out ->
-        List.iter (fun f -> Hashtbl.replace out.ro_dirty f ()) out.ro_followers)
-      t.repl_out;
-    Flow.Credits.reset t.repl_credits;
-    reload_from_store t;
+    mark_dirty t;
+    reset_and_reload t;
     send t ~dst:(Runtime.manager_addr t.rt)
       (Msg.Epoch_ack { server = t.addr; epoch = new_epoch })
   end
@@ -980,16 +1008,17 @@ let handle_watermark t gk ts =
         | None -> doomed := h :: !doomed)
       t.graph;
     List.iter (Hashtbl.remove t.graph) !doomed;
-    (* partial replication, owner side: advance followers at the watermark
+    (* replication, owner side: advance followers at the watermark
        boundary. Only once every transaction at or below [wm] has actually
        been applied here (watermark gossip shares the gatekeeper FIFO with
        Shard_tx, so covered transactions have *arrived*, but one may still
        be queued behind an oracle consult — per-gatekeeper stamps are
-       monotone, so checking the heads suffices). Clean followers get a
-       watermark heartbeat: FIFO order guarantees they received every
-       streamed update below it first. Dirty followers get a wholesale
-       reseed of the owner's records at this cut — immutable, so sharing
-       is safe — after which the stream is clean again. *)
+       monotone, so checking the heads suffices). Clean range followers get
+       a watermark heartbeat: FIFO order guarantees they received every
+       streamed update below it first (read replicas serve ungated and need
+       none). Dirty followers get a wholesale reseed of the owner's records
+       at this cut — immutable, so sharing is safe — after which the stream
+       is clean again. *)
     if Hashtbl.length t.repl_out > 0 then begin
       let applied_through_wm =
         Array.for_all
@@ -1007,7 +1036,8 @@ let handle_watermark t gk ts =
               Hashtbl.fold
                 (fun h v acc ->
                   let vid = Intern.name t.names h in
-                  if repl_range t vid = range then (vid, v) :: acc else acc)
+                  if range = whole || repl_range t vid = range then (vid, v) :: acc
+                  else acc)
                 t.graph [])
             in
             List.iter
@@ -1017,17 +1047,15 @@ let handle_watermark t gk ts =
                   Flow.Credits.reset_peer t.repl_credits f;
                   (counters t).Runtime.repl_resyncs <-
                     (counters t).Runtime.repl_resyncs + 1;
-                  send t
-                    ~dst:(Runtime.shard_addr t.rt f)
+                  send t ~dst:(follower_addr t f)
                     (Msg.Repl_seed
                        { range; owner = t.sid; ts = wm; vertices = Lazy.force seed })
                 end
-                else
-                  send t
-                    ~dst:(Runtime.shard_addr t.rt f)
+                else if range <> whole then
+                  send t ~dst:(follower_addr t f)
                     (Msg.Repl_update { range; owner = t.sid; ts = wm; ops = [] }))
               out.ro_followers)
-          (repl_owned_ranges t)
+          (repl_streams t)
     end
   end
 
@@ -1049,7 +1077,7 @@ let handle t ~src:_ msg =
             t.last_seq.(gk) <- seq
           end;
           Queue.push
-            { q_seq = seq; q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
+            { q_ts = ts; q_ops = ops; q_trace = trace; q_enq = now t }
             t.queues.(gk);
           try_advance t
         end
@@ -1061,7 +1089,7 @@ let handle t ~src:_ msg =
            already had and program entries were missing *)
         Runtime.observe t.rt "shard.prog_hop_wait" (now t -. sent_at);
         Runtime.trace_span t.rt ~trace:prog_id ~name:"shard.prog_hop"
-          ~actor:(actor t) ~start:sent_at ~stop:(now t) ();
+          ~actor:t.actor ~start:sent_at ~stop:(now t) ();
         let snap =
           if historical && (cfg t).Config.snapshot_reads then
             match Hashtbl.find_opt t.pins prog_id with
@@ -1096,7 +1124,12 @@ let handle t ~src:_ msg =
         | Some e ->
             Snapshot.release t.snaps e;
             Hashtbl.remove t.pins prog_id
-        | None -> ())
+        | None -> ());
+        (* gatekeepers release program state at the primaries; each relays
+           the release to its read replicas *)
+        Option.iter
+          (fun out -> List.iter (fun f -> send t ~dst:(follower_addr t f) msg) out.ro_followers)
+          (Hashtbl.find_opt t.repl_out whole)
     | Msg.Watermark { gk; ts } -> handle_watermark t gk ts
     | Msg.Epoch_change { epoch } -> handle_epoch_change t epoch
     | Msg.Repl_install { range; owner; followers } ->
@@ -1104,35 +1137,44 @@ let handle t ~src:_ msg =
            a crash-restarted owner (whose streaming state died with it)
            re-learns its ranges and reseeds; an already-known range is
            left untouched *)
-        if owner = t.sid && not (Hashtbl.mem t.repl_out range) then begin
-          let dirty = Hashtbl.create 4 in
-          List.iter (fun f -> Hashtbl.replace dirty f ()) followers;
-          Hashtbl.replace t.repl_out range { ro_followers = followers; ro_dirty = dirty }
-        end;
+        if owner = t.sid && not (Hashtbl.mem t.repl_out range) then
+          add_stream t ~range ~dirty:true followers;
         if List.mem t.sid followers && not (Hashtbl.mem t.repl_in range) then
           Hashtbl.replace t.repl_in range
             { rin_owner = owner; rin_wm = None; rin_floor = None }
-    | Msg.Repl_update { range; owner; ts; ops } -> (
-        match Hashtbl.find_opt t.repl_in range with
-        | Some rin when rin.rin_wm <> None ->
-            if ops = [] then begin
-              (* watermark heartbeat: everything at or below [ts] has been
-                 streamed (FIFO), so this copy now covers it *)
-              rin.rin_wm <- Some ts;
-              advertise_cover t range ts
-            end
-            else begin
-              List.iter (repl_apply_op t ts) ops;
-              (* return the stream credit this update spent at the owner *)
-              if (cfg t).Config.shard_credits > 0 then begin
-                (counters t).Runtime.credit_msgs <-
-                  (counters t).Runtime.credit_msgs + 1;
-                send t
-                  ~dst:(Runtime.shard_addr t.rt owner)
-                  (Msg.Credit { shard = t.sid; gk = owner; n = 1 })
-              end
-            end
-        | _ -> () (* not following, or awaiting the first seed *))
+    | Msg.Repl_update { range; owner; ts; ops } ->
+        let follows =
+          match Hashtbl.find_opt t.repl_in range with
+          | Some rin when rin.rin_wm <> None ->
+              if ops = [] then begin
+                (* watermark heartbeat: everything at or below [ts] has been
+                   streamed (FIFO), so this copy now covers it *)
+                rin.rin_wm <- Some ts;
+                advertise_cover t range ts
+              end;
+              true
+          | _ ->
+              (* a range not followed or still awaiting its first seed is
+                 dropped; a read replica follows its primary from spawn *)
+              t.replica <> None
+        in
+        if follows && ops <> [] then begin
+          List.iter (apply_op t ~copy:(t.replica = None) ts) ops;
+          t.applied <- t.applied + 1;
+          (* return the stream credit this update spent at the owner *)
+          if (cfg t).Config.shard_credits > 0 then begin
+            (counters t).Runtime.credit_msgs <- (counters t).Runtime.credit_msgs + 1;
+            send t ~dst:(Runtime.shard_addr t.rt owner)
+              (Msg.Credit { shard = t.peer; gk = owner; n = 1 })
+          end
+        end
+    | Msg.Repl_seed { ts; vertices; _ } when t.replica <> None ->
+        (* whole-partition (re)seed: adopt the primary's records at the
+           [ts] cut. They were compacted below it, so historical reads
+           under the cut fail retryably, as at the primary. *)
+        clear_partition t;
+        List.iter (fun (vid, v) -> adopt_vertex t vid v) vertices;
+        t.gc_floor <- Some ts
     | Msg.Repl_seed { range; owner; ts; vertices } ->
         (* a seed is self-sufficient: it may arrive before the controller's
            (re-)install broadcast after a restart, so create the follower
@@ -1149,11 +1191,14 @@ let handle t ~src:_ msg =
            the owner's records at the [ts] cut verbatim *)
         let stale =
           Hashtbl.fold
-            (fun vid _ acc -> if repl_range t vid = range then vid :: acc else acc)
+            (fun h _ acc ->
+              if repl_range t (Intern.name t.names h) = range then h :: acc else acc)
             t.repl_graph []
         in
         List.iter (Hashtbl.remove t.repl_graph) stale;
-        List.iter (fun (vid, v) -> Hashtbl.replace t.repl_graph vid v) vertices;
+        List.iter
+          (fun (vid, v) -> Hashtbl.replace t.repl_graph (Intern.id t.names vid) v)
+          vertices;
         rin.rin_wm <- Some ts;
         rin.rin_floor <- Some ts;
         advertise_cover t range ts
@@ -1174,13 +1219,27 @@ let start_timers t =
         true
       end)
 
-let spawn rt ~sid ~epoch =
-  let n_g = rt.Runtime.cfg.Config.n_gatekeepers in
+let spawn ?replica rt ~sid ~epoch =
+  let cfg = rt.Runtime.cfg in
+  let n_shards = cfg.Config.n_shards and n_replicas = cfg.Config.read_replicas in
+  (* a read replica owns nothing: no gatekeeper queues to order *)
+  let n_g = if replica = None then cfg.Config.n_gatekeepers else 0 in
+  let addr, actor, peer =
+    match replica with
+    | None -> (Runtime.shard_addr rt sid, "shard" ^ string_of_int sid, sid)
+    | Some r ->
+        ( Runtime.replica_addr rt ~shard:sid ~replica:r,
+          Printf.sprintf "replica%d.%d" sid r,
+          n_shards + r )
+  in
   let t =
     {
       rt;
       sid;
-      addr = Runtime.shard_addr rt sid;
+      replica;
+      peer;
+      addr;
+      actor;
       names = Intern.create ~capacity:4096 ();
       graph = Hashtbl.create 4096;
       lru = Queue.create ();
@@ -1200,15 +1259,16 @@ let spawn rt ~sid ~epoch =
       busy_us = 0.0;
       epoch;
       wm = Array.make n_g None;
-      snaps = Snapshot.create ~retain:rt.Runtime.cfg.Config.snapshot_retain ();
+      snaps = Snapshot.create ~retain:snapshot_retain ();
       pins = Hashtbl.create 8;
       gc_floor = None;
       repl_out = Hashtbl.create 8;
       repl_in = Hashtbl.create 8;
       repl_graph = Hashtbl.create 256;
       repl_credits =
-        Flow.Credits.create ~peers:rt.Runtime.cfg.Config.n_shards
-          ~credits:rt.Runtime.cfg.Config.shard_credits;
+        Flow.Credits.create ~peers:(n_shards + n_replicas)
+          ~credits:cfg.Config.shard_credits;
+      applied = 0;
       retired = false;
     }
   in
@@ -1216,31 +1276,36 @@ let spawn rt ~sid ~epoch =
   (* utilization gauges (see the gatekeeper note on respawn semantics):
      busy time and the aggregate depth of the per-gatekeeper FIFO queues *)
   Weaver_obs.Metrics.gauge rt.Runtime.metrics
-    (Printf.sprintf "util.shard%d.busy_us" sid)
+    (Printf.sprintf "util.%s.busy_us" actor)
     (fun () -> int_of_float t.busy_us);
-  Weaver_obs.Metrics.gauge rt.Runtime.metrics
-    (Printf.sprintf "util.shard%d.queue_depth" sid)
-    (fun () -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues);
-  start_timers t;
-  if epoch > 0 then reload_from_store t;
+  (match replica with
+  | Some _ ->
+      (* seeded from the store, like a primary at recovery; the primary's
+         stream carries every later change *)
+      reload_from_store t
+  | None ->
+      Weaver_obs.Metrics.gauge rt.Runtime.metrics
+        (Printf.sprintf "util.shard%d.queue_depth" sid)
+        (fun () -> Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues);
+      start_timers t;
+      (* the replica list is a pure function of (sid, read_replicas), so a
+         respawned primary still knows its followers; the epoch barrier
+         that follows a respawn marks them all for a reseed *)
+      if n_replicas > 0 then
+        add_stream t ~range:whole ~dirty:false
+          (List.init n_replicas (fun r -> n_shards + r));
+      if epoch > 0 then reload_from_store t);
   t
 
 let retire t = t.retired <- true
 
 let reload = reload_from_store
 
-(* A peer shard crash-restarted: any follower copies it held died with it,
-   so if it follows one of our replicated ranges, mark it dirty for a
-   wholesale reseed at the next watermark and refill its credit column
-   (stream credits it carried can never be refunded). *)
-let on_peer_restart t ~peer =
-  Hashtbl.iter
-    (fun _ out ->
-      if List.mem peer out.ro_followers then begin
-        Hashtbl.replace out.ro_dirty peer ();
-        Flow.Credits.reset_peer t.repl_credits peer
-      end)
-    t.repl_out
+(* A peer copy crash-restarted: the follower copies it held died with it,
+   so mark it dirty for a wholesale reseed at the next watermark and
+   refill its credit column (stream credits it carried can never be
+   refunded). *)
+let on_peer_restart t ~peer = mark_dirty t ~peer:peer.peer
 
 (* Crash-restart within the current epoch (fault-plan [Restart] firing
    before the manager's failure detector noticed): queued work and FIFO
@@ -1255,25 +1320,16 @@ let on_peer_restart t ~peer =
    Shard_tx; the durable store stays authoritative and the next epoch
    barrier reconciles the in-memory copy. *)
 let resync t =
-  Array.iter Queue.clear t.queues;
-  Array.fill t.last_seq 0 (Array.length t.last_seq) 0;
-  Array.fill t.seq_epoch 0 (Array.length t.seq_epoch) (-1);
-  Array.fill t.last_applied 0 (Array.length t.last_applied) None;
-  t.parked <- [];
-  t.oracle_inflight <- false;
-  Hashtbl.reset t.oracle_batch;
-  t.oracle_batch_list <- [];
-  t.oracle_gen <- t.oracle_gen + 1;
-  Snapshot.clear t.snaps;
-  Hashtbl.reset t.pins;
-  t.gc_floor <- None;
   (* replication state died with the crash: as a follower, the copies and
      watermarks are stale-but-safe at the gatekeepers (routed reads miss
      here and chase the owner) until the controller's next re-broadcast
-     reinstalls us; as an owner, the re-broadcast re-marks every follower
-     dirty and the next watermark reseeds them *)
-  Hashtbl.reset t.repl_out;
+     reinstalls us; as an owner, the re-broadcast re-marks every range
+     follower dirty and the next watermark reseeds them. The read-replica
+     stream is kept, all dirty, since no controller re-installs it. *)
+  Hashtbl.filter_map_inplace
+    (fun r out -> if r = whole then Some out else None)
+    t.repl_out;
+  mark_dirty t;
   Hashtbl.reset t.repl_in;
   Hashtbl.reset t.repl_graph;
-  Flow.Credits.reset t.repl_credits;
-  reload_from_store t
+  reset_and_reload t

@@ -12,11 +12,19 @@
 
 type t
 
-val spawn : Runtime.t -> sid:int -> epoch:int -> t
+val spawn : ?replica:int -> Runtime.t -> sid:int -> epoch:int -> t
 (** Create shard [sid], register its handler at {!Runtime.shard_addr}, and
     start its heartbeat timer. A replacement spawned after a failure
     (with the current [epoch]) restores its partition from the backing
-    store. *)
+    store.
+
+    With [~replica:r], create read replica [r] of shard [sid] instead
+    (§6.4) at {!Runtime.replica_addr}: a whole-partition follower of the
+    primary, seeded from the backing store, fed by the primary's
+    replication stream and reseeded by it after restarts and epoch
+    barriers. It owns nothing (no queues, heartbeats, watermark round or
+    snapshots) and runs weak node-program batches ungated at its applied
+    state, sending hops to the sibling replicas of the target shards. *)
 
 val retire : t -> unit
 
@@ -31,6 +39,9 @@ val resident_vertices : t -> int
 val resident_ids : t -> string list
 (** Sorted vids of the vertices resident in shard memory
     (tests/introspection — crash-recovery determinism checks). *)
+
+val applied : t -> int
+(** Replication-stream updates this copy has applied as a follower. *)
 
 val queue_depths : t -> int array
 (** Pending transactions per gatekeeper queue (tests). *)
@@ -67,12 +78,15 @@ val resync : t -> unit
     replaces it; must be called before the network endpoint is marked
     alive again. *)
 
-(** {1 Partial replication} ([Config.enable_replication])
+(** {1 Replication} ([Config.enable_replication], [Config.read_replicas])
 
-    Hot-range replication state ({!Weaver_repl.Repl}). As an {e owner},
-    the shard streams ops landing in its replicated ranges to followers
-    and advances them with watermark heartbeats (or wholesale seeds, when
-    the stream was interrupted). As a {e follower}, it keeps
+    One credit-gated owner→follower stream serves both kinds of copy. As
+    an {e owner}, the shard streams applied ops to its read replicas
+    (whole transactions) and to the followers of its replicated hot ranges
+    ({!Weaver_repl.Repl}; the ops landing in each range), advances range
+    followers with watermark heartbeats, and reseeds any follower whose
+    stream was interrupted (credit exhaustion, restart, epoch barrier)
+    wholesale at the next watermark. As a range {e follower}, it keeps
     timestamp-consistent copies of other owners' hot ranges and serves
     node-program reads whose stamp its replication watermark covers. *)
 
@@ -82,8 +96,8 @@ val repl_owned_ranges : t -> int list
 val repl_followed_ranges : t -> int list
 (** Ranges this shard follows copies of (sorted; tests/CLI). *)
 
-val on_peer_restart : t -> peer:int -> unit
-(** A peer shard crash-restarted, losing any follower copies it held: mark
-    it dirty in every replicated range it follows (reseeded at the next
-    watermark) and refill its stream-credit column. Called by the cluster
-    fault layer alongside the gatekeepers' [on_shard_restart]. *)
+val on_peer_restart : t -> peer:t -> unit
+(** A peer copy (a shard following one of our ranges, or one of our read
+    replicas) crash-restarted, losing its follower copies: mark it dirty
+    in every stream it follows (reseeded at the next watermark) and
+    refill its stream-credit column. Called by the cluster fault layer. *)

@@ -2,9 +2,10 @@
     (ROADMAP item 3; Sutra & Shapiro's fault-tolerant partial replication
     adapted to refinable timestamps).
 
-    The paper's own replicas (§6.4, [Replica]) copy a whole shard and serve
+    The paper's own read replicas (§6.4) copy a whole shard and serve
     weak reads with no freshness bound. This module supplies the pure logic
-    for the stronger scheme built on top of the watermark machinery: owners
+    for the stronger scheme built on top of the watermark machinery (both
+    kinds of copy ride the same owner stream in [Weaver_core.Shard]): owners
     of {e hot ranges} (as identified by [Obs.Heat]) stream applied updates
     to follower shards together with their gossiped GC watermarks, and a
     follower may serve any read at stamp [t] that its replication watermark

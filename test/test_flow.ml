@@ -98,7 +98,6 @@ let test_config_validation_flow () =
   bad "trace_capacity" (fun c -> { c with Config.trace_capacity = 0 });
   bad "timeline_capacity" (fun c -> { c with Config.timeline_capacity = -3 });
   bad "slow_log_capacity" (fun c -> { c with Config.slow_log_capacity = 0 });
-  bad "dedup_window" (fun c -> { c with Config.dedup_window = -1 });
   (* flow knobs at their defaults (off) and enabled values both validate *)
   Config.validate Config.default;
   Config.validate

@@ -4,11 +4,12 @@
 open Weaver_core
 module Programs = Weaver_programs.Std_programs
 
-let mk_cluster ?(replicas = 1) () =
-  let cfg = { Config.default with Config.read_replicas = replicas } in
+let boot cfg =
   let c = Cluster.create cfg in
   Programs.Std.register_all (Cluster.registry c);
   c
+
+let mk_cluster ?(replicas = 1) () = boot { Config.default with Config.read_replicas = replicas }
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "%s" e
 
@@ -129,6 +130,60 @@ let test_strong_reads_unaffected_by_replicas () =
   | Ok v -> Alcotest.failf "strong read missed the write: %s" (Progval.to_string v)
   | Error e -> Alcotest.failf "%s" e
 
+(* Regression: a write committed while a replica's primary is down never
+   reached the replica. The gatekeeper commits it to the store and its
+   Shard_tx dies at the dead primary; the replacement reloads the store at
+   the epoch barrier, but the replica used to keep serving its pre-crash
+   copy forever, so weak reads alternating over primary and replica
+   disagreed. The barrier now marks the replica dirty and the primary
+   reseeds it at the next watermark. *)
+let test_replica_converges_after_barrier () =
+  let c =
+    boot { Config.default with Config.n_shards = 2; read_replicas = 1; seed = 13 }
+  in
+  let client = Cluster.client c in
+  let tx = Client.Tx.begin_ client in
+  ignore (Client.Tx.create_vertex tx ~id:"x" ());
+  ok (Client.commit client tx);
+  Cluster.run_for c 20_000.0;
+  let shard = Cluster.shard_of_vertex c "x" in
+  let set key =
+    let tx = Client.Tx.begin_ client in
+    Client.Tx.set_vertex_prop tx ~vid:"x" ~key ~value:"1";
+    ok (Client.commit client tx)
+  in
+  Cluster.kill_shard c shard;
+  set "k";
+  Cluster.run_for c 400_000.0;
+  Alcotest.(check int) "replaced at a barrier" 1 (Cluster.counters c).Runtime.recoveries;
+  set "k2";
+  Cluster.run_for c 400_000.0;
+  let has key = function
+    | Some v ->
+        Array.exists
+          (fun (p : Weaver_graph.Mgraph.prop) -> p.Weaver_graph.Mgraph.pkey = key)
+          v.Weaver_graph.Mgraph.v_props
+    | None -> false
+  in
+  Alcotest.(check bool) "primary has k" true (has "k" (Cluster.shard_vertex c ~shard "x"));
+  Alcotest.(check bool) "replica has k2" true
+    (has "k2" (Cluster.replica_vertex c ~shard ~replica:0 "x"));
+  Alcotest.(check bool) "replica has k" true
+    (has "k" (Cluster.replica_vertex c ~shard ~replica:0 "x"));
+  for i = 1 to 7 do
+    match
+      Client.run_program client ~prog:"get_node" ~params:Progval.Null ~starts:[ "x" ]
+        ~consistency:`Weak ()
+    with
+    | Ok (Progval.List [ s ]) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "weak read %d sees k" i)
+          true
+          (Progval.assoc "k" (Progval.assoc "props" s) <> Progval.Null)
+    | Ok v -> Alcotest.failf "unexpected %s" (Progval.to_string v)
+    | Error e -> Alcotest.failf "weak read: %s" e
+  done
+
 let suites =
   [
     ( "replica",
@@ -139,5 +194,7 @@ let suites =
         Alcotest.test_case "weak traversal" `Quick test_weak_traversal_across_replicas;
         Alcotest.test_case "weak without replicas" `Quick test_weak_without_replicas_falls_back;
         Alcotest.test_case "strong unaffected" `Quick test_strong_reads_unaffected_by_replicas;
+        Alcotest.test_case "converges after barrier" `Quick
+          test_replica_converges_after_barrier;
       ] );
   ]
