@@ -124,28 +124,43 @@ type macro_run = {
   m_aborted : int;
   m_cpu_s : float;
   m_ops_per_cpu_s : float;
+  m_gc_rounds : int; (* compaction rounds, summed over shards *)
+  m_gc_swept : int; (* records handed to Mgraph.compact, summed over shards *)
+  m_resident : int; (* records resident in shard memory at the end *)
   m_fingerprint : int * int * int * int * int * int;
 }
 
-let macro_arm () =
+let macro_seed = 11
+let macro_graph_seed = 23
+let macro_shards = 4
+
+(* [vertices] sizes the graph (edges = 2 x vertices); the run is the same
+   32-client, 400 ms window at every size *)
+let macro_arm ?(vertices = 2_000) () =
   let cfg =
     {
       Config.default with
-      Config.seed = 11;
+      Config.seed = macro_seed;
       Config.n_gatekeepers = 2;
-      Config.n_shards = 4;
+      Config.n_shards = macro_shards;
     }
   in
   let c = Cluster.create cfg in
   Weaver_programs.Std_programs.Std.register_all (Cluster.registry c);
-  let rng = Xrand.create ~seed:23 () in
-  let g = Graphgen.uniform ~rng ~prefix:"sp" ~vertices:2_000 ~edges:4_000 () in
+  let rng = Xrand.create ~seed:macro_graph_seed () in
+  let g = Graphgen.uniform ~rng ~prefix:"sp" ~vertices ~edges:(2 * vertices) () in
   Loader.fast_install c g;
   Cluster.run_for c 5_000.0;
   let vertices = Array.of_list (Graphgen.vertex_ids g) in
+  let gc_work () =
+    List.init macro_shards (Cluster.shard_gc_work c)
+    |> List.fold_left (fun (r, s) (r', s') -> (r + r', s + s')) (0, 0)
+  in
+  let rounds0, swept0 = gc_work () in
   let t0 = Sys.time () in
   let r = Tao.Driver.run c ~vertices ~clients:32 ~duration:400_000.0 () in
   let cpu = Sys.time () -. t0 in
+  let rounds1, swept1 = gc_work () in
   let ctr = Cluster.counters c in
   let rt = Cluster.runtime c in
   {
@@ -153,6 +168,10 @@ let macro_arm () =
     m_aborted = r.Tao.Driver.aborted;
     m_cpu_s = cpu;
     m_ops_per_cpu_s = float_of_int r.Tao.Driver.completed /. cpu;
+    m_gc_rounds = rounds1 - rounds0;
+    m_gc_swept = swept1 - swept0;
+    m_resident =
+      List.fold_left ( + ) 0 (List.init macro_shards (Cluster.shard_resident c));
     m_fingerprint =
       ( r.Tao.Driver.completed,
         r.Tao.Driver.aborted,
@@ -205,3 +224,54 @@ let run () =
   j "  \"deterministic_rerun\": %b\n}\n" deterministic;
   close_out oc;
   line "wrote BENCH_micro.json"
+
+(* -------------------------------------------------------------- *)
+(* gc_scaling: the watermark round's work must follow the writes it
+   compacts, not the partition size. The macro workload runs at 2k and
+   100k vertices; the same 400 ms window issues about the same writes at
+   both sizes, so records swept per round must stay flat. A round that
+   swept every resident record would sweep ~50x more at 100k. *)
+
+let gc_small = 2_000
+let gc_large = 100_000
+
+(* the gate: swept per round at [gc_large] over [gc_small] *)
+let gc_max_growth = 1.5
+
+let gc_scaling () =
+  line "\n==== GC scaling: records swept per watermark round vs graph size ====";
+  let per_round m = float_of_int m.m_gc_swept /. float_of_int (max 1 m.m_gc_rounds) in
+  let runs = List.map (fun v -> (v, macro_arm ~vertices:v ())) [ gc_small; gc_large ] in
+  line "%10s %10s %8s %8s %8s %12s %10s %12s" "vertices" "resident" "ops" "rounds" "swept"
+    "swept/round" "cpu_s" "ops/cpu_s";
+  List.iter
+    (fun (v, m) ->
+      line "%10d %10d %8d %8d %8d %12.2f %10.3f %12.0f" v m.m_resident m.m_completed
+        m.m_gc_rounds m.m_gc_swept (per_round m) m.m_cpu_s m.m_ops_per_cpu_s)
+    runs;
+  let small = per_round (List.assoc gc_small runs) in
+  let large = per_round (List.assoc gc_large runs) in
+  let growth = large /. Float.max small 1e-9 in
+  let pass = large <= gc_max_growth *. small in
+  line "swept/round growth %.2fx (gate <= %.1fx): %s" growth gc_max_growth
+    (if pass then "ok" else "FAIL");
+  let oc = open_out "BENCH_gc.json" in
+  let j fmt = Printf.fprintf oc fmt in
+  j "{\n  \"experiment\": \"gc_scaling\",\n";
+  j "  \"config\": {\"seed\": %d, \"graph_seed\": %d, \"gatekeepers\": 2, \"shards\": %d, \"gc_period_us\": %.0f, \"clients\": 32, \"duration_us\": 400000, \"edges_per_vertex\": 2},\n"
+    macro_seed macro_graph_seed macro_shards Config.default.Config.gc_period;
+  j "  \"note\": \"cpu_s and ops_per_cpu_s are process CPU time on the machine that ran it; every other field is deterministic\",\n";
+  j "  \"runs\": [";
+  List.iteri
+    (fun i (v, m) ->
+      j "%s\n    {\"vertices\": %d, \"resident\": %d, \"completed\": %d, \"aborted\": %d, \"gc_rounds\": %d, \"gc_swept\": %d, \"swept_per_round\": %.3f, \"cpu_s\": %.4f, \"ops_per_cpu_s\": %.0f}"
+        (if i = 0 then "" else ",")
+        v m.m_resident m.m_completed m.m_aborted m.m_gc_rounds m.m_gc_swept (per_round m) m.m_cpu_s
+        m.m_ops_per_cpu_s)
+    runs;
+  j "\n  ],\n";
+  j "  \"gate\": {\"swept_per_round_growth\": %.3f, \"max_growth\": %.1f, \"pass\": %b}\n}\n"
+    growth gc_max_growth pass;
+  close_out oc;
+  line "wrote BENCH_gc.json";
+  if not pass then failwith "gc_scaling: swept per round grows with graph size"

@@ -270,10 +270,21 @@ let shard_resident_ids t sid = Shard.resident_ids t.shards.(sid)
 let shard_snapshots t sid = Shard.snapshots_retained t.shards.(sid)
 let shard_snapshots_pinned t sid = Shard.snapshots_pinned t.shards.(sid)
 let shard_gc_floor t sid = Shard.gc_floor t.shards.(sid)
+let shard_snapshot t sid = Shard.latest_snapshot t.shards.(sid)
 
+let shard_gc_work t sid = (Shard.gc_rounds t.shards.(sid), Shard.gc_swept t.shards.(sid))
+
+(* one store scan for the whole cluster, bucketed by owner *)
 let reload_shards t =
-  Array.iter Shard.reload t.shards;
-  Array.iter (Array.iter Shard.reload) t.replicas
+  let owned = Array.make (Array.length t.shards) [] in
+  List.iter
+    (fun ((vid, _) as record) ->
+      let s = Runtime.shard_of_vertex t.rt vid in
+      owned.(s) <- record :: owned.(s))
+    (Runtime.stored_vertices t.rt);
+  let owned = Array.map List.rev owned in
+  Array.iteri (fun s sh -> Shard.reload_with sh owned.(s)) t.shards;
+  Array.iteri (fun s -> Array.iter (fun r -> Shard.reload_with r owned.(s))) t.replicas
 
 let replica_vertex t ~shard ~replica vid = Shard.vertex t.replicas.(shard).(replica) vid
 let replica_applied t ~shard ~replica = Shard.applied t.replicas.(shard).(replica)

@@ -89,6 +89,17 @@ val shard_gc_floor : t -> int -> Runtime.Vclock.t option
 (** Shard [i]'s compaction floor: versions strictly below it are gone
     from its in-memory copy. *)
 
+val shard_snapshot :
+  t -> int -> (Runtime.Vclock.t * (string * Weaver_graph.Mgraph.vertex) list) option
+(** Shard [i]'s newest published snapshot: its stamp and its records,
+    sorted by vid ([Config.snapshot_reads]; tests). *)
+
+val shard_gc_work : t -> int -> int * int
+(** Compaction rounds run and records handed to
+    {!Weaver_graph.Mgraph.compact} by shard [i]'s current instance (a
+    respawn starts from zero): deterministic GC work counters, kept out of
+    the metrics registry. *)
+
 val reload_shards : t -> unit
 (** Have every shard re-read its partition from the backing store. Used by
     offline bulk loaders after installing records directly. *)

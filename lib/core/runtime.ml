@@ -434,6 +434,14 @@ let vkey vid = "v/" ^ vid
 let lukey vid = "lu/" ^ vid
 let dirkey vid = "dir/" ^ vid
 
+let stored_vertices t =
+  List.filter_map
+    (fun (key, value) ->
+      match value with
+      | Vrec v -> Some (String.sub key 2 (String.length key - 2), v)
+      | _ -> None)
+    (Store.scan_prefix t.store ~prefix:"v/")
+
 let shard_of_vertex t vid =
   match Store.get_now t.store (dirkey vid) with
   | Some (Dir s) -> s

@@ -246,6 +246,10 @@ val lukey : string -> string
 val dirkey : string -> string
 (** Key of a directory entry. *)
 
+val stored_vertices : t -> (string * Weaver_graph.Mgraph.vertex) list
+(** Every vertex record in the backing store with its vid, sorted by vid:
+    one O(store) scan, the input of every partition reload. *)
+
 (** {1 Ordering decisions}
 
     [before cache t a b ~prefer_first_on_tie] decides whether [a] happened

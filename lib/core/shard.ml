@@ -9,6 +9,7 @@ module Intern = Weaver_util.Intern
 module Flow = Weaver_flow.Flow
 module Heat = Weaver_obs.Heat
 module Repl = Weaver_repl.Repl
+module IMap = Map.Make (Int)
 
 (* shard-side cost to apply one write, µs *)
 let vertex_write_cost = 2.0
@@ -26,15 +27,17 @@ type queued_tx = {
   q_enq : float; (* when it entered this queue, for queue-wait metrics *)
 }
 
-(* An immutable copy of this shard's partition as of [sg_ts], rebuilt from
-   the durable store at a watermark boundary. The store keeps the full
+(* An immutable copy of this shard's partition as of [sg_ts], captured
+   from the durable store at a watermark boundary. The store keeps the full
    version history (only in-memory copies are ever compacted) and vertex
    records are functional, so sharing them here is safe and the snapshot
    answers any read at [at ≺ sg_ts] exactly. *)
 type snap_graph = {
   sg_ts : Vclock.t;
-  sg_graph : (int, Mgraph.vertex) Hashtbl.t;
-      (* keyed by this shard's interned vertex handles *)
+  sg_graph : Mgraph.vertex IMap.t;
+      (* keyed by this shard's interned vertex handles; a root of the
+         persistent store mirror, sharing all unchanged structure with the
+         snapshots before and after it *)
 }
 
 type parked_prog = {
@@ -100,6 +103,14 @@ type t = {
          re-hashing vid strings. Interning is append-only and survives epoch
          changes — a handle, once issued, stays valid for the shard's life. *)
   graph : (int, Mgraph.vertex) Hashtbl.t;
+  gc_pending : (int, unit) Hashtbl.t;
+      (* handles whose [graph] record holds a closed lifespan — exactly the
+         records the next compaction can shrink (every other record
+         compacts to itself), so a GC round costs O(changes), not
+         O(partition). May hold stale handles of evicted vertices; the
+         round drops them. Empty on read replicas, which have no round. *)
+  mutable gc_rounds : int; (* compaction rounds run *)
+  mutable gc_swept : int; (* records handed to [Mgraph.compact], cumulative *)
   lru : int Queue.t; (* approximate recency for demand paging *)
   lru_count : (int, int) Hashtbl.t;
       (* occurrences of each vertex in [lru]; lets eviction skip stale
@@ -127,6 +138,12 @@ type t = {
   mutable epoch : int;
   wm : Vclock.t option array; (* latest watermark per gatekeeper *)
   snaps : snap_graph Snapshot.t; (* published partition snapshots *)
+  mutable mirror : Mgraph.vertex IMap.t option;
+      (* the store records this shard owns — a [v/] record whose [dir/]
+         entry places it here — as of journal position [mirror_at]; built
+         by one full scan at the first publish after spawn or a reload,
+         then kept current from the journal *)
+  mutable mirror_at : int;
   pins : (int, snap_graph Snapshot.entry) Hashtbl.t; (* prog_id -> pin *)
   mutable gc_floor : Vclock.t option;
       (* effective watermark of the last compaction: versions strictly
@@ -166,6 +183,17 @@ let queue_depths t = Array.map Queue.length t.queues
 let snapshots_retained t = Snapshot.count t.snaps
 let snapshots_pinned t = List.length (Snapshot.pinned t.snaps)
 let gc_floor t = t.gc_floor
+let gc_rounds t = t.gc_rounds
+let gc_swept t = t.gc_swept
+
+let latest_snapshot t =
+  Option.map
+    (fun e ->
+      let sg = Snapshot.value e in
+      ( sg.sg_ts,
+        IMap.fold (fun h v acc -> (Intern.name t.names h, v) :: acc) sg.sg_graph []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b) ))
+    (Snapshot.latest t.snaps)
 
 let cfg t = t.rt.Runtime.cfg
 let counters t = t.rt.Runtime.counters
@@ -219,6 +247,10 @@ let repl_lookup t h vid at =
         Hashtbl.find_opt t.repl_graph h
     | _ -> None
 
+(* keep [gc_pending] exact for a record just put into [graph] *)
+let note_dead t h v =
+  if t.replica = None && Mgraph.has_dead v then Hashtbl.replace t.gc_pending h ()
+
 (* ------------------------------------------------------------------ *)
 (* Demand paging (§6.1): vertices are fetched from the backing store on a
    miss and evicted in approximate LRU order when over capacity. *)
@@ -271,6 +303,8 @@ let lookup_vertex t h vid =
           match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
           | Some (Runtime.Vrec v) ->
               Hashtbl.replace t.graph h v;
+              (* store records carry the full history *)
+              note_dead t h v;
               touch t h;
               evict_to_capacity t ~keep:h;
               (counters t).Runtime.page_ins <- (counters t).Runtime.page_ins + 1;
@@ -320,7 +354,10 @@ let apply_op t ~copy ts (op : Msg.shard_op) =
   in
   let update f =
     match if copy then Hashtbl.find_opt graph h else fst (lookup_vertex t h vid) with
-    | Some v -> Hashtbl.replace graph h (f v)
+    | Some v ->
+        let v = f v in
+        Hashtbl.replace graph h v;
+        if not copy then note_dead t h v
     | None -> ()
   in
   match op with
@@ -341,7 +378,9 @@ let apply_op t ~copy ts (op : Msg.shard_op) =
       (* adopt: pull the current durable record (it includes every write
          committed before this op's store transaction, §4.6) *)
       match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
-      | Some (Runtime.Vrec v) -> adopt v
+      | Some (Runtime.Vrec v) ->
+          adopt v;
+          if not copy then note_dead t h v
       | _ -> ())
   | Msg.S_migrate_out _ -> Hashtbl.remove graph h
 
@@ -511,7 +550,7 @@ let execute_prog_batch t (p : parked_prog) =
         let h = Intern.id t.names vid in
         let vrec, pc =
           match pinned with
-          | Some sg -> (Hashtbl.find_opt sg.sg_graph h, 0.0)
+          | Some sg -> (IMap.find_opt h sg.sg_graph, 0.0)
           | None -> lookup_vertex t h vid
         in
         (* not owned here: a followed hot-range copy whose replication
@@ -850,6 +889,7 @@ and try_advance t =
 
 let clear_partition t =
   Hashtbl.reset t.graph;
+  Hashtbl.reset t.gc_pending;
   Queue.clear t.lru;
   Hashtbl.reset t.lru_count
 
@@ -863,19 +903,22 @@ let adopt_vertex t vid v =
   if under_cap then begin
     let h = Intern.id t.names vid in
     Hashtbl.replace t.graph h v;
+    note_dead t h v;
     touch t h
   end
 
-let reload_from_store t =
+(* every durable record the directory places in this partition, sorted
+   by vid: O(store) *)
+let scan_owned t =
+  List.filter
+    (fun (vid, _) -> Runtime.shard_of_vertex t.rt vid = t.sid)
+    (Runtime.stored_vertices t.rt)
+
+let reload_with t records =
   clear_partition t;
-  List.iter
-    (fun (key, value) ->
-      match value with
-      | Runtime.Vrec v ->
-          let vid = String.sub key 2 (String.length key - 2) in
-          if Runtime.shard_of_vertex t.rt vid = t.sid then adopt_vertex t vid v
-      | _ -> ())
-    (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/")
+  List.iter (fun (vid, v) -> adopt_vertex t vid v) records
+
+let reload_from_store t = reload_with t (scan_owned t)
 
 let add_stream t ~range ~dirty followers =
   let ro_dirty = Hashtbl.create 4 in
@@ -913,6 +956,7 @@ let reset_and_reload t =
   t.oracle_batch_list <- [];
   t.oracle_gen <- t.oracle_gen + 1;
   Snapshot.clear t.snaps;
+  t.mirror <- None;
   Hashtbl.reset t.pins;
   t.gc_floor <- None;
   Flow.Credits.reset t.repl_credits;
@@ -935,6 +979,100 @@ let handle_epoch_change t new_epoch =
 (* ------------------------------------------------------------------ *)
 (* Multi-version GC (§4.5): compact below the pointwise-min watermark. *)
 
+(* the snapshot rule: [vid]'s durable record, iff the directory places it
+   in this partition *)
+let owned_record t vid =
+  match Store.get_now t.rt.Runtime.store (Runtime.vkey vid) with
+  | Some (Runtime.Vrec v) when Runtime.shard_of_vertex t.rt vid = t.sid -> Some v
+  | _ -> None
+
+(* Bring the store mirror up to the journal's end and return it. Only a
+   vid whose [v/] record or [dir/] entry (a migration) was written since
+   the cursor can have changed; each is re-decided by the snapshot rule.
+   Changed vids are interned in sorted order, the order of the full scan,
+   so handle numbering is the same as if every publish rescanned. *)
+let refresh_mirror t =
+  let store = t.rt.Runtime.store in
+  let mirror =
+    match t.mirror with
+    | None ->
+        List.fold_left
+          (fun m (vid, v) -> IMap.add (Intern.id t.names vid) v m)
+          IMap.empty (scan_owned t)
+    | Some m ->
+        let vid_of key =
+          let tail n = String.sub key n (String.length key - n) in
+          if String.starts_with ~prefix:"v/" key then Some (tail 2)
+          else if String.starts_with ~prefix:"dir/" key then Some (tail 4)
+          else None
+        in
+        Store.written_since store t.mirror_at
+        |> List.filter_map vid_of
+        |> List.sort_uniq String.compare
+        |> List.fold_left
+             (fun m vid ->
+               match owned_record t vid with
+               | Some v -> IMap.add (Intern.id t.names vid) v m
+               | None -> (
+                   match Intern.find t.names vid with
+                   | Some h -> IMap.remove h m
+                   | None -> m))
+             m
+  in
+  t.mirror <- Some mirror;
+  t.mirror_at <- Store.journal_length store;
+  mirror
+
+(* Compact every pending record below [wm]; a record leaves the set once
+   it holds no closed lifespan or is no longer resident. *)
+let compact_pending t wm =
+  (* vclock-only comparison: a version strictly below the watermark by
+     vector clock alone is unreachable by any current or future read *)
+  let vb a b = Vclock.precedes a b in
+  t.gc_rounds <- t.gc_rounds + 1;
+  Hashtbl.filter_map_inplace
+    (fun h () ->
+      match Hashtbl.find_opt t.graph h with
+      | None -> None
+      | Some v -> (
+          t.gc_swept <- t.gc_swept + 1;
+          match Mgraph.compact vb v ~watermark:wm with
+          | None ->
+              Hashtbl.remove t.graph h;
+              None
+          | Some v' ->
+              if v' != v then Hashtbl.replace t.graph h v';
+              if Mgraph.has_dead v' then Some () else None))
+    t.gc_pending
+
+(* The records each dirty stream's reseed carries, from one pass over the
+   partition: the whole partition for [whole], a heat range's records for
+   a range. Each list is in the same order a per-stream fold gives. *)
+let reseed_buckets t =
+  let dirty range =
+    match Hashtbl.find_opt t.repl_out range with
+    | Some out -> Hashtbl.length out.ro_dirty > 0
+    | None -> false
+  in
+  let need_whole = dirty whole in
+  let need_ranges = List.exists dirty (repl_owned_ranges t) in
+  let buckets = Hashtbl.create 8 in
+  if need_whole || need_ranges then
+    Hashtbl.iter
+      (fun h v ->
+        let vid = Intern.name t.names h in
+        let push r =
+          Hashtbl.replace buckets r
+            ((vid, v) :: Option.value ~default:[] (Hashtbl.find_opt buckets r))
+        in
+        if need_whole then push whole;
+        if need_ranges then begin
+          let r = repl_range t vid in
+          if r <> whole && dirty r then push r
+        end)
+      t.graph;
+  fun range -> Option.value ~default:[] (Hashtbl.find_opt buckets range)
+
 let handle_watermark t gk ts =
   t.wm.(gk) <- Some ts;
   if Array.for_all Option.is_some t.wm then begin
@@ -949,7 +1087,7 @@ let handle_watermark t gk ts =
       |> Option.get
     in
     (* publish an immutable snapshot of the partition at this watermark
-       boundary, rebuilt from the durable store: the store keeps the full
+       boundary, captured from the durable store: the store keeps the full
        version history, and every transaction stamped before [wm] was
        committed to it before the watermark was gossiped, so the snapshot
        answers any read at [at ≺ wm] exactly *)
@@ -961,17 +1099,7 @@ let handle_watermark t gk ts =
         | None -> true
       in
       if fresh then begin
-        let sg_graph = Hashtbl.create 1024 in
-        List.iter
-          (fun (k, value) ->
-            match value with
-            | Runtime.Vrec v ->
-                let vid = String.sub k 2 (String.length k - 2) in
-                if Runtime.shard_of_vertex t.rt vid = t.sid then
-                  Hashtbl.replace sg_graph (Intern.id t.names vid) v
-            | _ -> ())
-          (Store.scan_prefix t.rt.Runtime.store ~prefix:"v/");
-        ignore (Snapshot.publish t.snaps ~key { sg_ts = wm; sg_graph });
+        ignore (Snapshot.publish t.snaps ~key { sg_ts = wm; sg_graph = refresh_mirror t });
         (counters t).Runtime.snap_published <-
           (counters t).Runtime.snap_published + 1
       end
@@ -997,17 +1125,7 @@ let handle_watermark t gk ts =
       (match t.gc_floor with
       | Some f when f.Vclock.epoch = wm.Vclock.epoch -> Some (Vclock.merge f wm)
       | _ -> Some wm);
-    (* vclock-only comparison: a version strictly below the watermark by
-       vector clock alone is unreachable by any current or future read *)
-    let vb a b = Vclock.precedes a b in
-    let doomed = ref [] in
-    Hashtbl.iter
-      (fun h v ->
-        match Mgraph.compact vb v ~watermark:wm with
-        | Some v' -> Hashtbl.replace t.graph h v'
-        | None -> doomed := h :: !doomed)
-      t.graph;
-    List.iter (Hashtbl.remove t.graph) !doomed;
+    compact_pending t wm;
     (* replication, owner side: advance followers at the watermark
        boundary. Only once every transaction at or below [wm] has actually
        been applied here (watermark gossip shares the gatekeeper FIFO with
@@ -1028,18 +1146,11 @@ let handle_watermark t gk ts =
             | Some (head : queued_tx) -> not (Repl.covers ~wm head.q_ts))
           t.queues
       in
-      if applied_through_wm then
+      if applied_through_wm then begin
+        let seed = reseed_buckets t in
         List.iter
           (fun range ->
             let out = Hashtbl.find t.repl_out range in
-            let seed = lazy (
-              Hashtbl.fold
-                (fun h v acc ->
-                  let vid = Intern.name t.names h in
-                  if range = whole || repl_range t vid = range then (vid, v) :: acc
-                  else acc)
-                t.graph [])
-            in
             List.iter
               (fun f ->
                 if Hashtbl.mem out.ro_dirty f then begin
@@ -1048,14 +1159,14 @@ let handle_watermark t gk ts =
                   (counters t).Runtime.repl_resyncs <-
                     (counters t).Runtime.repl_resyncs + 1;
                   send t ~dst:(follower_addr t f)
-                    (Msg.Repl_seed
-                       { range; owner = t.sid; ts = wm; vertices = Lazy.force seed })
+                    (Msg.Repl_seed { range; owner = t.sid; ts = wm; vertices = seed range })
                 end
                 else if range <> whole then
                   send t ~dst:(follower_addr t f)
                     (Msg.Repl_update { range; owner = t.sid; ts = wm; ops = [] }))
               out.ro_followers)
           (repl_streams t)
+      end
     end
   end
 
@@ -1242,6 +1353,9 @@ let spawn ?replica rt ~sid ~epoch =
       actor;
       names = Intern.create ~capacity:4096 ();
       graph = Hashtbl.create 4096;
+      gc_pending = Hashtbl.create 64;
+      gc_rounds = 0;
+      gc_swept = 0;
       lru = Queue.create ();
       lru_count = Hashtbl.create 4096;
       queues = Array.init n_g (fun _ -> Queue.create ());
@@ -1260,6 +1374,8 @@ let spawn ?replica rt ~sid ~epoch =
       epoch;
       wm = Array.make n_g None;
       snaps = Snapshot.create ~retain:snapshot_retain ();
+      mirror = None;
+      mirror_at = 0;
       pins = Hashtbl.create 8;
       gc_floor = None;
       repl_out = Hashtbl.create 8;
@@ -1298,8 +1414,6 @@ let spawn ?replica rt ~sid ~epoch =
   t
 
 let retire t = t.retired <- true
-
-let reload = reload_from_store
 
 (* A peer copy crash-restarted: the follower copies it held died with it,
    so mark it dirty for a wholesale reseed at the next watermark and

@@ -49,8 +49,10 @@ val queue_depths : t -> int array
 (** {1 Versioned snapshots} ([Config.snapshot_reads])
 
     At each watermark boundary the shard publishes a refcounted immutable
-    snapshot of its partition, rebuilt from the durable store (which keeps
-    the full version history). Historical node programs whose timestamp
+    snapshot of its partition, captured from the durable store (which keeps
+    the full version history): a persistent mirror of the store records
+    the shard owns, brought up to date from the store journal, whose root
+    is the snapshot. Historical node programs whose timestamp
     precedes a published snapshot pin it and run lock-free against it —
     skipping the refinable-timestamp gate, demand paging, and the LRU.
     Pinned snapshots clamp the compaction watermark. *)
@@ -61,22 +63,39 @@ val snapshots_retained : t -> int
 val snapshots_pinned : t -> int
 (** Snapshots pinned by in-flight node programs. *)
 
+val latest_snapshot :
+  t -> (Weaver_vclock.Vclock.t * (string * Weaver_graph.Mgraph.vertex) list) option
+(** The newest published snapshot: its stamp and its records sorted by vid
+    (tests/introspection; O(partition)). *)
+
 val gc_floor : t -> Weaver_vclock.Vclock.t option
 (** Effective watermark of the last compaction: versions strictly below it
     are gone from the in-memory copy, so unpinned historical reads below
     it are answered with a retryable ["snapshot-gced"] error. *)
 
-val reload : t -> unit
-(** Re-read this shard's partition from the backing store (recovery path;
-    also used by bulk preloading). *)
+val gc_rounds : t -> int
+(** Compaction rounds this shard has run (one per gatekeeper watermark
+    once every gatekeeper has sent one). *)
+
+val gc_swept : t -> int
+(** Records handed to {!Weaver_graph.Mgraph.compact} over this shard's
+    life: only records holding a closed lifespan are, so this counts
+    O(changes), not O(partition) per round. A deterministic work counter,
+    kept out of the metrics registry. *)
+
+val reload_with : t -> (string * Weaver_graph.Mgraph.vertex) list -> unit
+(** Replace the partition with records already read from the backing
+    store: this partition's durable records, sorted by vid (bulk
+    preloading, which scans the store once for every shard; recovery
+    scans it itself). *)
 
 val resync : t -> unit
 (** Crash-restart resynchronization within the current epoch: drop queued
     transactions and parked programs, re-baseline every per-gatekeeper
-    FIFO channel, and {!reload} from the backing store. Used by fault-plan
-    restarts that revive a shard in place before the failure detector
-    replaces it; must be called before the network endpoint is marked
-    alive again. *)
+    FIFO channel, and reload the partition from the backing store. Used
+    by fault-plan restarts that revive a shard in place before the
+    failure detector replaces it; must be called before the network
+    endpoint is marked alive again. *)
 
 (** {1 Replication} ([Config.enable_replication], [Config.read_replicas])
 

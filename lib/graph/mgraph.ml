@@ -145,15 +145,46 @@ let degree before v ~at =
 let dead_before before life ~watermark =
   match life.deleted with Some d -> before d watermark | None -> false
 
+(* [Array.map] that hands back [a] itself when [f] keeps every element *)
+let amap_shared f a =
+  let n = Array.length a in
+  let rec go i =
+    if i = n then a
+    else
+      let x = f a.(i) in
+      if x == a.(i) then go (i + 1)
+      else begin
+        let a' = Array.copy a in
+        a'.(i) <- x;
+        for j = i + 1 to n - 1 do
+          a'.(j) <- f a.(j)
+        done;
+        a'
+      end
+  in
+  go 0
+
 let compact before v ~watermark =
   if dead_before before v.v_life ~watermark then None
   else
     let keep_prop p = not (dead_before before p.p_life ~watermark) in
+    let compact_edge e =
+      let e_props = afilter keep_prop e.e_props in
+      if e_props == e.e_props then e else { e with e_props }
+    in
     let out =
       afilter (fun e -> not (dead_before before e.e_life ~watermark)) v.out
-      |> Array.map (fun e -> { e with e_props = afilter keep_prop e.e_props })
+      |> amap_shared compact_edge
     in
-    Some { v with v_props = afilter keep_prop v.v_props; out }
+    let v_props = afilter keep_prop v.v_props in
+    if out == v.out && v_props == v.v_props then Some v else Some { v with v_props; out }
+
+let has_dead v =
+  let closed life = life.deleted <> None in
+  let prop_closed p = closed p.p_life in
+  closed v.v_life
+  || Array.exists prop_closed v.v_props
+  || Array.exists (fun e -> closed e.e_life || Array.exists prop_closed e.e_props) v.out
 
 let pp_vertex fmt v =
   let dead = match v.v_life.deleted with Some _ -> " (deleted)" | None -> "" in

@@ -101,6 +101,14 @@ val compact : before -> vertex -> watermark:stamp -> vertex option
 (** Drop every version whose deletion stamp is strictly before the
     watermark (no ongoing or future operation can see it). Returns [None]
     if the vertex itself is gone. Pass the timestamp of the oldest
-    operation still in progress. *)
+    operation still in progress. When nothing is below the watermark the
+    result is the input record itself ([==]), so a no-op compaction
+    allocates nothing. *)
+
+val has_dead : vertex -> bool
+(** Does any lifespan in the record — the vertex's own, a vertex
+    property's, an edge's or an edge property's — carry a deletion stamp?
+    Exactly the records a later {!compact} may shrink; a record without
+    one compacts to itself at every watermark. *)
 
 val pp_vertex : Format.formatter -> vertex -> unit

@@ -146,6 +146,17 @@ let journal_entry t i =
   if i < 0 || i >= t.journal_len then invalid_arg "Store.journal_entry: out of range";
   List.nth t.journal (t.journal_len - 1 - i)
 
+let written_since t n =
+  if n < 0 || n > t.journal_len then invalid_arg "Store.written_since: out of range";
+  let rec walk entries k acc =
+    if k = 0 then acc
+    else
+      match entries with
+      | entry :: older -> walk older (k - 1) (List.rev_append (List.rev_map fst entry) acc)
+      | [] -> acc
+  in
+  walk t.journal (t.journal_len - n) []
+
 let replay t =
   let fresh = create () in
   List.iter

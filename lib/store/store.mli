@@ -34,9 +34,10 @@ val get_now : 'v t -> string -> 'v option
 val scan_prefix : 'v t -> prefix:string -> (string * 'v) list
 (** All live bindings whose key starts with [prefix], sorted by key. The
     order is part of the contract: it feeds shard crash-recovery reload
-    (which keeps the first [shard_capacity] records) and snapshot
-    publication, both of which must be bit-identical across runs and
-    OCaml hash-table layouts. *)
+    (which keeps the first [shard_capacity] records) and the one-time
+    build of a shard's snapshot mirror, both of which must be
+    bit-identical across runs and OCaml hash-table layouts. O(store):
+    everything after that build follows {!written_since} instead. *)
 
 val commits : 'v t -> int
 val aborts : 'v t -> int
@@ -54,6 +55,15 @@ val journal_length : 'v t -> int
 val journal_entry : 'v t -> int -> (string * 'v option) list
 (** Write set of the [i]-th committed transaction ([None] = deletion), in
     application order. @raise Invalid_argument when out of range. *)
+
+val written_since : 'v t -> int -> string list
+(** [written_since t n]: every key written (put or deleted) by the
+    committed transactions [n .. journal_length t - 1], oldest first; a
+    key written twice appears twice. Costs O(entries walked), not
+    O(store): a reader that remembers [journal_length] as a cursor learns
+    exactly which keys changed since, which is how shards publish
+    snapshots incrementally. @raise Invalid_argument unless
+    [0 <= n <= journal_length t]. *)
 
 val replay : 'v t -> 'v t
 (** A fresh store holding the journal's effects replayed in order; its own

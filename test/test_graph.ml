@@ -132,6 +132,64 @@ let test_compact_preserves_live () =
   | None -> Alcotest.fail "live vertex dropped"
   | Some v' -> Alcotest.(check int) "live edge kept" 1 (Array.length v'.Mgraph.out)
 
+(* nothing below the watermark: compaction hands back the record itself,
+   not a copy, so a round that drops nothing allocates nothing *)
+let test_compact_noop_is_physical () =
+  let v = Mgraph.create_vertex ~vid:"a" ~at:(t 1) in
+  let v = Mgraph.add_edge v ~eid:"e1" ~dst:"b" ~at:(t 2) in
+  let v = Mgraph.set_edge_prop before v ~eid:"e1" ~key:"w" ~value:"1" ~at:(t 3) in
+  let v = Mgraph.set_edge_prop before v ~eid:"e1" ~key:"w" ~value:"2" ~at:(t 6) in
+  let v = Mgraph.set_vertex_prop before v ~key:"p" ~value:"1" ~at:(t 2) in
+  let v = Mgraph.set_vertex_prop before v ~key:"p" ~value:"2" ~at:(t 7) in
+  let v = Mgraph.add_edge v ~eid:"e2" ~dst:"c" ~at:(t 4) in
+  let v = Mgraph.delete_edge v ~eid:"e2" ~at:(t 8) in
+  (* every closed version ends at t6 or later: nothing is below t6 *)
+  (match Mgraph.compact before v ~watermark:(t 6) with
+  | Some v' -> Alcotest.(check bool) "same record" true (v' == v)
+  | None -> Alcotest.fail "vertex dropped");
+  (* at t7 only e1's w=1 goes: the untouched edge and the prop array are
+     shared with the input *)
+  match Mgraph.compact before v ~watermark:(t 7) with
+  | None -> Alcotest.fail "vertex dropped"
+  | Some v' ->
+      Alcotest.(check bool) "copied" false (v' == v);
+      Alcotest.(check bool) "props shared" true (v'.Mgraph.v_props == v.Mgraph.v_props);
+      let e2 v = List.find (fun e -> e.Mgraph.eid = "e2") (Array.to_list v.Mgraph.out) in
+      Alcotest.(check bool) "untouched edge shared" true (e2 v' == e2 v);
+      Alcotest.(check int) "one w version left" 1
+        (Array.length
+           (List.find (fun e -> e.Mgraph.eid = "e1") (Array.to_list v'.Mgraph.out))
+             .Mgraph.e_props)
+
+(* [has_dead] sees a closed lifespan at each of the four levels, and
+   nothing else *)
+let test_has_dead_each_kind () =
+  let base = Mgraph.create_vertex ~vid:"a" ~at:(t 1) in
+  let base = Mgraph.add_edge base ~eid:"e" ~dst:"b" ~at:(t 2) in
+  let base = Mgraph.set_vertex_prop before base ~key:"p" ~value:"1" ~at:(t 2) in
+  let base = Mgraph.set_edge_prop before base ~eid:"e" ~key:"w" ~value:"1" ~at:(t 2) in
+  Alcotest.(check bool) "all live" false (Mgraph.has_dead base);
+  let cases =
+    [
+      ("vertex", Mgraph.delete_vertex base ~at:(t 3));
+      ("vertex prop overwrite", Mgraph.set_vertex_prop before base ~key:"p" ~value:"2" ~at:(t 3));
+      ("vertex prop delete", Mgraph.del_vertex_prop before base ~key:"p" ~at:(t 3));
+      ("edge", Mgraph.delete_edge base ~eid:"e" ~at:(t 3));
+      ("edge prop overwrite", Mgraph.set_edge_prop before base ~eid:"e" ~key:"w" ~value:"2" ~at:(t 3));
+      ("edge prop delete", Mgraph.del_edge_prop before base ~eid:"e" ~key:"w" ~at:(t 3));
+    ]
+  in
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) name true (Mgraph.has_dead v);
+      (* compaction past the closing stamp drops it, and with it the flag *)
+      match Mgraph.compact before v ~watermark:(t 4) with
+      | Some v' -> Alcotest.(check bool) (name ^ " compacted") false (Mgraph.has_dead v')
+      | None -> Alcotest.(check string) "only the vertex case drops" "vertex" name)
+    cases;
+  Alcotest.(check bool) "new edge opens, closes nothing" false
+    (Mgraph.has_dead (Mgraph.add_edge base ~eid:"f" ~dst:"c" ~at:(t 3)))
+
 (* property: visibility is monotone in time for undeleted objects, and an
    object is never visible before its creation stamp *)
 let prop_visibility_sane =
@@ -178,6 +236,8 @@ let suites =
         Alcotest.test_case "compact drops dead" `Quick test_compact_drops_dead;
         Alcotest.test_case "compact removes dead vertex" `Quick test_compact_removes_dead_vertex;
         Alcotest.test_case "compact preserves live" `Quick test_compact_preserves_live;
+        Alcotest.test_case "compact no-op is physical" `Quick test_compact_noop_is_physical;
+        Alcotest.test_case "has_dead each kind" `Quick test_has_dead_each_kind;
         QCheck_alcotest.to_alcotest prop_visibility_sane;
         QCheck_alcotest.to_alcotest prop_updates_do_not_rewrite_history;
       ] );

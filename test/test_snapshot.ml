@@ -261,6 +261,100 @@ let test_deterministic_capacity_reload () =
       (Cluster.shard_resident_ids c sid)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Incremental publish: a shard's snapshot is its store mirror, kept
+   current from the store journal instead of rescanning the store. After
+   every publish it must hold exactly what a full scan would: the durable
+   record of every vid whose directory entry places it in the partition,
+   and nothing else — through writes, a vertex delete, a migration (which
+   changes only the [dir/] entry) and an epoch barrier (which rebuilds the
+   mirror). *)
+
+let test_incremental_publish_matches_scan () =
+  let n_shards = 2 in
+  let cfg =
+    {
+      Config.default with
+      Config.seed = 5;
+      Config.n_gatekeepers = 2;
+      Config.n_shards;
+      Config.gc_period = 1_000.0;
+      Config.snapshot_reads = true;
+    }
+  in
+  let c = mk_cluster cfg in
+  let client = Cluster.client c in
+  let vids = List.init 30 (Printf.sprintf "s%02d") in
+  List.iter
+    (fun vid ->
+      let tx = Client.Tx.begin_ client in
+      ignore (Client.Tx.create_vertex tx ~id:vid ());
+      ok (Client.commit client tx))
+    vids;
+  let engine = (Cluster.runtime c).Runtime.engine in
+  let start = Cluster.now c in
+  let stop = start +. 200_000.0 in
+  let rng = Weaver_util.Xrand.create ~seed:3 () in
+  let writer = Cluster.client c in
+  let rec next_write k =
+    if Cluster.now c < stop then begin
+      let tx = Client.Tx.begin_ writer in
+      let vid = List.nth vids (Weaver_util.Xrand.int rng (List.length vids)) in
+      if k = 40 then Client.Tx.delete_vertex tx vid
+      else Client.Tx.set_vertex_prop tx ~vid ~key:"k" ~value:(string_of_int k);
+      Client.commit_async writer tx ~on_result:(fun _ ->
+          Weaver_sim.Engine.schedule engine ~delay:300.0 (fun () -> next_write (k + 1)))
+    end
+  in
+  next_write 0;
+  let migrated = ref false in
+  Weaver_sim.Engine.schedule_at engine ~time:(start +. 20_000.0) (fun () ->
+      let vid = "s07" in
+      Client.migrate_async client ~vid
+        ~to_shard:((Cluster.shard_of_vertex c vid + 1) mod n_shards)
+        ~on_result:(fun r -> migrated := Result.is_ok r));
+  (* left down: the manager respawns the shard behind an epoch barrier *)
+  ignore
+    (Cluster.install_fault_plan c
+       (Weaver_sim.Fault.scripted
+          [ (start +. 40_000.0, Weaver_sim.Fault.Crash (Weaver_sim.Fault.Shard 1)) ]));
+  (* only publishes made from here on are compared against the store *)
+  let seen =
+    Array.init n_shards (fun s ->
+        match Cluster.shard_snapshot c s with Some (ts, _) -> Vclock.key ts | None -> "")
+  in
+  let compared = ref 0 in
+  let check s =
+    match Cluster.shard_snapshot c s with
+    | Some (ts, records) when not (String.equal (Vclock.key ts) seen.(s)) ->
+        seen.(s) <- Vclock.key ts;
+        incr compared;
+        let expected =
+          List.filter_map
+            (fun vid ->
+              match Cluster.stored_vertex c vid with
+              | Some v when Cluster.shard_of_vertex c vid = s -> Some (vid, v)
+              | _ -> None)
+            vids
+        in
+        Alcotest.(check (list string))
+          (Printf.sprintf "shard %d vids at %s" s (Vclock.key ts))
+          (List.map fst expected) (List.map fst records);
+        List.iter2
+          (fun (vid, v) (_, v') ->
+            if v != v' then Alcotest.failf "shard %d: %s is not the stored record" s vid)
+          expected records
+    | _ -> ()
+  in
+  while Cluster.now c < stop +. 20_000.0 && Weaver_sim.Engine.step engine do
+    for s = 0 to n_shards - 1 do
+      check s
+    done
+  done;
+  Alcotest.(check bool) "migrated" true !migrated;
+  Alcotest.(check bool) "epoch barrier" true (Cluster.epoch c > 0);
+  Alcotest.(check bool) "many publishes compared" true (!compared > 100)
+
 let suites =
   [
     ( "snapshot",
@@ -275,5 +369,7 @@ let suites =
         Alcotest.test_case "pin defers gc" `Quick test_pin_defers_gc;
         Alcotest.test_case "deterministic capacity reload" `Quick
           test_deterministic_capacity_reload;
+        Alcotest.test_case "incremental publish matches scan" `Quick
+          test_incremental_publish_matches_scan;
       ] );
   ]

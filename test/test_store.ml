@@ -208,6 +208,37 @@ let prop_occ_serializable =
       in
       List.exists matches (permutations indices))
 
+(* the journal cursor: a reader remembering [journal_length] learns every
+   key committed since, oldest first, deletions and repeats included;
+   aborted transactions leave no trace *)
+let test_written_since () =
+  let s = Store.create () in
+  let commit writes =
+    let tx = Store.Tx.begin_ s in
+    List.iter
+      (fun (k, v) -> match v with Some v -> Store.Tx.put tx k v | None -> Store.Tx.delete tx k)
+      writes;
+    ignore (Store.Tx.commit tx)
+  in
+  commit [ ("a", Some 1); ("b", Some 2) ];
+  let cursor = Store.journal_length s in
+  Alcotest.(check (list string)) "nothing yet" [] (Store.written_since s cursor);
+  commit [ ("c", Some 3); ("a", None) ];
+  let tx = Store.Tx.begin_ s in
+  Store.Tx.put tx "z" 9;
+  Store.Tx.abort tx;
+  commit [ ("c", Some 4) ];
+  Alcotest.(check (list string)) "since cursor" [ "c"; "a"; "c" ]
+    (Store.written_since s cursor);
+  Alcotest.(check (list string)) "whole journal" [ "a"; "b"; "c"; "a"; "c" ]
+    (Store.written_since s 0);
+  List.iter
+    (fun n ->
+      match Store.written_since s n with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "cursor %d must raise" n)
+    [ -1; Store.journal_length s + 1 ]
+
 let suites =
   [
     ( "store",
@@ -220,6 +251,7 @@ let suites =
         Alcotest.test_case "double delete aborts" `Quick test_conflict_on_deleted_vertex;
         Alcotest.test_case "version bumps" `Quick test_version_bumps;
         Alcotest.test_case "scan prefix" `Quick test_scan_prefix;
+        Alcotest.test_case "written since" `Quick test_written_since;
         Alcotest.test_case "finished handle" `Quick test_finished_handle_rejected;
         Alcotest.test_case "multi-key atomicity" `Quick test_atomicity_multi_key;
         QCheck_alcotest.to_alcotest prop_occ_serializable;
