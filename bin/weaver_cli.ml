@@ -470,10 +470,7 @@ let heat_cmd_impl gatekeepers shards tau seed clients duration_ms theta json csv
     done;
     (* the hottest ranges cluster-wide, by decayed read+write load *)
     let ranges =
-      List.init (Heat.ranges h) (fun r ->
-          ( r,
-            Heat.range_load h ~range:r ~kind:Heat.Read ~now
-            +. Heat.range_load h ~range:r ~kind:Heat.Write ~now ))
+      List.init (Heat.ranges h) (fun r -> (r, Heat.range_rw_load h ~range:r ~now))
       |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
     in
     Printf.printf "\nhottest ranges (decayed load, half-life %.0f ms):\n"

@@ -1,7 +1,9 @@
-(* Heat-driven live rebalancing (paper §4.6, ROADMAP item 1): the planner
-   that closes the sense→plan→act loop over the PR-7 heat sensor.
+(* Live vertex migration (paper §4.6): one planner, two objectives, one
+   act path. [run_round] balances load from the heat sensor; [colocate]
+   moves vertices next to their neighbours along an LDG placement. Both
+   issue their moves through [issue].
 
-   Each round (every [Config.rebalance_period] µs) the planner:
+   Each heat round (every [Config.rebalance_period] µs) the planner:
 
    - SENSES: reads the decayed per-shard loads from [Obs.Heat] and
      computes their mean. A shard is overloaded only above
@@ -46,6 +48,8 @@
 module Engine = Weaver_sim.Engine
 module Net = Weaver_sim.Net
 module Heat = Weaver_obs.Heat
+module Mgraph = Weaver_graph.Mgraph
+module Partition = Weaver_partition.Partition
 
 let hysteresis = 1.5
 
@@ -54,22 +58,15 @@ type move = { mv_time : float; mv_vid : string; mv_from : int; mv_to : int }
 type t = {
   rt : Runtime.t;
   client : Client.t;  (* the planner's own session; created only when enabled *)
-  heat : Heat.t;
   pending : (string, unit) Hashtbl.t;  (* vids with an in-flight migrate *)
   last_moved : (string, float) Hashtbl.t;  (* per-vid cooldown stamps *)
   mutable move_log : move list;  (* newest first; [move_log] reverses *)
 }
 
 let create rt =
-  let heat =
-    match rt.Runtime.heat with
-    | Some h -> h
-    | None -> invalid_arg "Balancer.create: requires Config.enable_heat"
-  in
   {
     rt;
     client = Client.create rt;
-    heat;
     pending = Hashtbl.create 32;
     last_moved = Hashtbl.create 32;
     move_log = [];
@@ -99,6 +96,11 @@ let issue t ~vid ~from_shard ~to_shard =
       | Error _ -> skip t)
 
 let run_round t =
+  let heat =
+    match t.rt.Runtime.heat with
+    | Some h -> h
+    | None -> invalid_arg "Balancer.run_round: requires Config.enable_heat"
+  in
   let c = counters t in
   c.Runtime.rebal_rounds <- c.Runtime.rebal_rounds + 1;
   (* in-flight moves: observe only, plan nothing — no double-migrate, and
@@ -107,7 +109,7 @@ let run_round t =
     let cfg = t.rt.Runtime.cfg in
     let n = cfg.Config.n_shards in
     let now = Engine.now t.rt.Runtime.engine in
-    let loads = Array.init n (fun s -> Heat.shard_load t.heat ~shard:s ~now) in
+    let loads = Array.init n (fun s -> Heat.shard_load heat ~shard:s ~now) in
     let mean = Array.fold_left ( +. ) 0.0 loads /. float_of_int n in
     if mean > 0.0 then begin
       (* candidate ranges must be hot at *range* scale: above
@@ -115,7 +117,7 @@ let run_round t =
          spreads over many ranges, each only modestly warm, so a
          shard-scale band would never let any single range qualify. *)
       let band =
-        (hysteresis -. 1.0) *. mean *. float_of_int n /. float_of_int (Heat.ranges t.heat)
+        (hysteresis -. 1.0) *. mean *. float_of_int n /. float_of_int (Heat.ranges heat)
       in
       let alive s = Net.is_alive t.rt.Runtime.net (Runtime.shard_addr t.rt s) in
       let overloaded =
@@ -142,7 +144,7 @@ let run_round t =
                      and ping-pongs it between shards *)
                   let cooling =
                     match Hashtbl.find_opt t.last_moved vid with
-                    | Some t0 -> now -. t0 < Heat.half_life t.heat
+                    | Some t0 -> now -. t0 < Heat.half_life heat
                     | None -> false
                   in
                   if !budget > 0 && (not (Hashtbl.mem t.pending vid)) && not cooling
@@ -151,34 +153,55 @@ let run_round t =
                       (* stale sketch entry: the vertex already moved *)
                       skip t
                     else begin
-                      let range = Heat.range_of t.heat vid in
-                      let rl =
-                        Heat.range_load t.heat ~range ~kind:Heat.Read ~now
-                        +. Heat.range_load t.heat ~range ~kind:Heat.Write ~now
-                      in
+                      let range = Heat.range_of heat vid in
+                      let rl = Heat.range_rw_load heat ~range ~now in
                       if rl > band && not (Hashtbl.mem claimed range) then begin
-                        let dst = ref (-1) in
-                        for s = 0 to n - 1 do
-                          if s <> src && alive s && (!dst < 0 || loads.(s) < loads.(!dst))
-                          then dst := s
-                        done;
-                        if !dst < 0 then skip t (* no live destination *)
-                        else if loads.(!dst) +. rl >= loads.(src) then
-                          (* moving would just relocate the hot spot: not
-                             an improvement, leave it for decay to settle *)
-                          ()
-                        else begin
-                          decr budget;
-                          Hashtbl.replace claimed range ();
-                          loads.(src) <- loads.(src) -. rl;
-                          loads.(!dst) <- loads.(!dst) +. rl;
-                          issue t ~vid ~from_shard:src ~to_shard:!dst
-                        end
+                        match Runtime.lightest_live_shards t.rt ~loads ~except:src 1 with
+                        | [] -> skip t (* no live destination *)
+                        | dst :: _ when loads.(dst) +. rl >= loads.(src) ->
+                            (* moving would just relocate the hot spot: not
+                               an improvement, leave it for decay to settle *)
+                            ()
+                        | dst :: _ ->
+                            decr budget;
+                            Hashtbl.replace claimed range ();
+                            loads.(src) <- loads.(src) -. rl;
+                            loads.(dst) <- loads.(dst) +. rl;
+                            issue t ~vid ~from_shard:src ~to_shard:dst
                       end
                     end
                   end)
-                (Heat.top t.heat ~shard:src)
+                (Heat.top heat ~shard:src)
           end)
         overloaded
     end
   end
+
+(* live adjacency from the durable records: vertex → live out-neighbours *)
+let live_adjacency rt =
+  List.filter_map
+    (fun (vid, (v : Mgraph.vertex)) ->
+      if v.Mgraph.v_life.Mgraph.deleted <> None then None
+      else
+        Some
+          ( vid,
+            Array.to_list v.Mgraph.out
+            |> List.filter_map (fun (e : Mgraph.edge) ->
+                   if e.Mgraph.e_life.Mgraph.deleted = None then Some e.Mgraph.dst else None) ))
+    (Runtime.stored_vertices rt)
+
+let colocate t ~max_moves =
+  let adjacency = live_adjacency t.rt in
+  let target = Partition.ldg ~shards:t.rt.Runtime.cfg.Config.n_shards adjacency in
+  let budget = ref max_moves in
+  List.iter
+    (fun (vid, _) ->
+      if !budget > 0 && not (Hashtbl.mem t.pending vid) then begin
+        let cur = Runtime.shard_of_vertex t.rt vid in
+        let want = Hashtbl.find target vid in
+        if cur <> want then begin
+          decr budget;
+          issue t ~vid ~from_shard:cur ~to_shard:want
+        end
+      end)
+    adjacency

@@ -1,7 +1,14 @@
-(** Heat-driven live rebalancing (paper §4.6): a periodic cluster-owned
-    planner that closes the sense→plan→act loop over {!Weaver_obs.Heat}.
+(** Live vertex migration planner (paper §4.6): two objectives, and one
+    act path that issues every move through the ordinary OCC migrate path
+    and records it in {!move_log} and the [rebal.*] counters.
 
-    Each round it reads the decayed per-shard loads, finds shards loaded
+    - {b load} ({!run_round}): a periodic cluster-owned round that closes
+      the sense→plan→act loop over {!Weaver_obs.Heat};
+    - {b locality} ({!colocate}): "dynamically colocating a vertex with
+      the majority of its neighbors, using streaming graph partitioning
+      algorithms" — a one-shot LDG pass over the live graph.
+
+    Each load round it reads the decayed per-shard loads, finds shards loaded
     beyond [hysteresis × mean], picks their hottest
     vertices from the Space-Saving sketches (verified against the live
     directory), and issues at most [Config.rebalance_max_moves]
@@ -42,12 +49,20 @@ type move = {
 val create : Runtime.t -> t
 (** Creates the planner and its private client session (so enabling the
     balancer never perturbs the address plan of user clients created
-    before it).
-    @raise Invalid_argument unless the runtime has heat enabled. *)
+    before it). *)
 
 val run_round : t -> unit
-(** Execute one sense→plan→act round now. {!Cluster} drives this from a
-    periodic engine event; tests may call it directly. *)
+(** Execute one heat sense→plan→act round now. {!Cluster} drives this
+    from a periodic engine event; tests may call it directly.
+    @raise Invalid_argument unless the runtime has heat enabled. *)
+
+val colocate : t -> max_moves:int -> unit
+(** One locality pass: computes the {!Weaver_partition.Partition.ldg}
+    placement of the live graph in the backing store (live vertices and
+    their live out-edges, in store key order) and issues a migration for
+    each vertex off its target, skipping vertices with a move in flight,
+    at most [max_moves] in all. Returns at once; drive the simulation
+    until {!pending_moves} is 0 to let the moves land. *)
 
 val move_log : t -> move list
 (** Every move ever issued, oldest first — the deterministic audit log

@@ -307,14 +307,32 @@ let broadcast_commit_note t ~client ~tx_id ~written ~reads =
    entries record durable commits, which remain true. *)
 let on_revive t = Hashtbl.reset t.memo
 
-(* a duplicate of an already-committed transaction: answer with the
-   original outcome instead of re-executing (the retried create_vertex
-   would otherwise come back "invalid: vertex exists") *)
-let reply_from_dedup t ~client ~tx_id ~name reads =
-  (counters t).Runtime.dedup_hits <- (counters t).Runtime.dedup_hits + 1;
-  Runtime.trace_span t.rt ~trace:tx_id ~name ~actor:(actor t) ~start:(now t)
-    ~stop:(now t) ~meta:[ ("dedup", "hit") ] ();
-  send t ~dst:client (Msg.Tx_reply { tx_id; result = Ok (); reads })
+(* Run [fresh] unless (client, tx_id) is a duplicate. A duplicate of an
+   already-committed transaction is answered with the original outcome
+   instead of re-executing (the retried create_vertex would otherwise come
+   back "invalid: vertex exists"); one whose original attempt is still
+   mid-flight here is dropped — that attempt's reply (or this client's
+   timeout) resolves the request, and executing both would double-apply. *)
+let unless_duplicate t ~client ~tx_id ~name fresh =
+  match Hashtbl.find_opt t.dedup (client, tx_id) with
+  | Some reads ->
+      (counters t).Runtime.dedup_hits <- (counters t).Runtime.dedup_hits + 1;
+      Runtime.trace_span t.rt ~trace:tx_id ~name ~actor:(actor t) ~start:(now t)
+        ~stop:(now t) ~meta:[ ("dedup", "hit") ] ();
+      send t ~dst:client (Msg.Tx_reply { tx_id; result = Ok (); reads })
+  | None when Hashtbl.mem t.in_progress (client, tx_id) ->
+      (counters t).Runtime.dedup_dropped <- (counters t).Runtime.dedup_dropped + 1
+  | None -> fresh ()
+
+(* forward one committed transaction's ops to their owning shard over the
+   per-gatekeeper FIFO channel, spending a flow-control credit the shard
+   refunds when it applies them *)
+let forward t ~shard ~ts ~trace ops =
+  t.seqs.(shard) <- t.seqs.(shard) + 1;
+  (counters t).Runtime.shard_tx_msgs <- (counters t).Runtime.shard_tx_msgs + 1;
+  Flow.Credits.consume t.credits shard;
+  send t ~dst:(Runtime.shard_addr t.rt shard)
+    (Msg.Shard_tx { gk = t.gid; seq = t.seqs.(shard); ts; ops; trace })
 
 let handle_tx_req t ~client ~tx_id ops =
   let ts = tick t in
@@ -347,14 +365,7 @@ let handle_tx_req t ~client ~tx_id ops =
     (counters t).Runtime.tx_aborted <- (counters t).Runtime.tx_aborted + 1;
     reply (Error "conflict")
   in
-  match Hashtbl.find_opt t.dedup key with
-  | Some reads -> reply_from_dedup t ~client ~tx_id ~name:"gk.tx" reads
-  | None when Hashtbl.mem t.in_progress key ->
-      (* the original attempt is still mid-flight on this gatekeeper; its
-         reply (or this client's timeout) resolves the request — executing
-         the duplicate too would double-apply *)
-      (counters t).Runtime.dedup_dropped <- (counters t).Runtime.dedup_dropped + 1
-  | None ->
+  unless_duplicate t ~client ~tx_id ~name:"gk.tx" @@ fun () ->
   Hashtbl.replace t.in_progress key ();
   Engine.schedule t.rt.Runtime.engine ~delay:phase_cost (fun () ->
       store_span ~phase:"read" ~start:t0;
@@ -402,17 +413,7 @@ let handle_tx_req t ~client ~tx_id ops =
                             shard_ops;
                         Hashtbl.iter
                           (fun shard rev_ops ->
-                            let ops = List.rev rev_ops in
-                            t.seqs.(shard) <- t.seqs.(shard) + 1;
-                            (counters t).Runtime.shard_tx_msgs <-
-                              (counters t).Runtime.shard_tx_msgs + 1;
-                            (* spend a flow-control credit; the shard
-                               refunds it when it applies the tx *)
-                            Flow.Credits.consume t.credits shard;
-                            send t
-                              ~dst:(Runtime.shard_addr t.rt shard)
-                              (Msg.Shard_tx
-                                 { gk = t.gid; seq = t.seqs.(shard); ts; ops; trace = tx_id }))
+                            forward t ~shard ~ts ~trace:tx_id (List.rev rev_ops))
                           by_shard;
                         invalidate_memo t written;
                         record_dedup t ~client ~tx_id ~reads;
@@ -453,11 +454,7 @@ let handle_migrate_req t ~client ~tx_id ~vid ~to_shard =
       ();
     send t ~dst:client (Msg.Tx_reply { tx_id; result; reads = [] })
   in
-  match Hashtbl.find_opt t.dedup key with
-  | Some _ -> reply_from_dedup t ~client ~tx_id ~name:"gk.migrate" []
-  | None when Hashtbl.mem t.in_progress key ->
-      (counters t).Runtime.dedup_dropped <- (counters t).Runtime.dedup_dropped + 1
-  | None ->
+  unless_duplicate t ~client ~tx_id ~name:"gk.migrate" @@ fun () ->
   if to_shard < 0 || to_shard >= (cfg t).Config.n_shards then
     reply (Error "invalid: no such shard")
   else begin
@@ -494,32 +491,8 @@ let handle_migrate_req t ~client ~tx_id ~vid ~to_shard =
                     (counters t).Runtime.tx_aborted <- (counters t).Runtime.tx_aborted + 1;
                     reply (Error "conflict")
                 | Ok () ->
-                    t.seqs.(from_shard) <- t.seqs.(from_shard) + 1;
-                    Flow.Credits.consume t.credits from_shard;
-                    send t
-                      ~dst:(Runtime.shard_addr t.rt from_shard)
-                      (Msg.Shard_tx
-                         {
-                           gk = t.gid;
-                           seq = t.seqs.(from_shard);
-                           ts;
-                           ops = [ Msg.S_migrate_out vid ];
-                           trace = tx_id;
-                         });
-                    t.seqs.(to_shard) <- t.seqs.(to_shard) + 1;
-                    Flow.Credits.consume t.credits to_shard;
-                    send t
-                      ~dst:(Runtime.shard_addr t.rt to_shard)
-                      (Msg.Shard_tx
-                         {
-                           gk = t.gid;
-                           seq = t.seqs.(to_shard);
-                           ts;
-                           ops = [ Msg.S_migrate_in vid ];
-                           trace = tx_id;
-                         });
-                    (counters t).Runtime.shard_tx_msgs <-
-                      (counters t).Runtime.shard_tx_msgs + 2;
+                    forward t ~shard:from_shard ~ts ~trace:tx_id [ Msg.S_migrate_out vid ];
+                    forward t ~shard:to_shard ~ts ~trace:tx_id [ Msg.S_migrate_in vid ];
                     (counters t).Runtime.migrations <- (counters t).Runtime.migrations + 1;
                     record_dedup t ~client ~tx_id ~reads:[];
                     broadcast_commit_note t ~client ~tx_id ~written:[] ~reads:[];

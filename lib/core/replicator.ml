@@ -98,19 +98,10 @@ let run_round t =
               let owner = Runtime.shard_of_vertex t.rt vid in
               if (not (Repl.Table.is_replicated t.table ~range)) && alive owner
               then begin
-                let rl =
-                  Heat.range_load t.heat ~range ~kind:Heat.Read ~now
-                  +. Heat.range_load t.heat ~range ~kind:Heat.Write ~now
-                in
+                let rl = Heat.range_rw_load t.heat ~range ~now in
                 if rl > band then begin
                   let followers =
-                    List.init n Fun.id
-                    |> List.filter (fun s -> s <> owner && alive s)
-                    |> List.sort (fun a b ->
-                           if loads.(a) <> loads.(b) then
-                             Float.compare loads.(a) loads.(b)
-                           else compare a b)
-                    |> List.filteri (fun i _ -> i < factor)
+                    Runtime.lightest_live_shards t.rt ~loads ~except:owner factor
                   in
                   if followers <> [] then begin
                     Repl.Table.install t.table ~range ~owner ~followers;

@@ -376,7 +376,14 @@ let fresh_client_addr t =
   t.next_client <- t.next_client + 1;
   manager_addr t + t.next_client
 
-let is_gk_addr t a = a >= 0 && a < t.cfg.Config.n_gatekeepers
+(* the [k] least-loaded live shards other than [except], lightest first;
+   ties go to the lower index so the choice is a pure function of [loads] *)
+let lightest_live_shards t ~loads ~except k =
+  List.init t.cfg.Config.n_shards Fun.id
+  |> List.filter (fun s -> s <> except && Net.is_alive t.net (shard_addr t s))
+  |> List.sort (fun a b ->
+         if loads.(a) <> loads.(b) then Float.compare loads.(a) loads.(b) else compare a b)
+  |> List.filteri (fun i _ -> i < k)
 
 (* invert the address plan; names match the actors' own span names
    ("gk0", "shard2") so exported flow events land on the same Perfetto

@@ -221,7 +221,11 @@ val replica_addr : t -> shard:int -> replica:int -> int
 
 val manager_addr : t -> int
 val fresh_client_addr : t -> int
-val is_gk_addr : t -> int -> bool
+
+val lightest_live_shards : t -> loads:float array -> except:int -> int -> int list
+(** [lightest_live_shards t ~loads ~except k]: up to [k] live shards other
+    than [except], ordered by [loads] ascending, ties toward the lower
+    index — the destination choice of both heat planners. *)
 
 val actor_of_addr : t -> int -> string
 (** Human name of the actor at an address ("gk0", "shard2",

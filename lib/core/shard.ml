@@ -225,9 +225,6 @@ let before t a b = Runtime.before t.cache t.rt a b ~prefer_first_on_tie:true
 let repl_range t vid =
   match t.rt.Runtime.heat with Some h -> Heat.range_of h vid | None -> -1
 
-let repl_followed_ranges t =
-  List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_in [])
-
 (* every stream this shard owns, the whole-partition one ([whole]) first *)
 let repl_streams t =
   List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.repl_out [])

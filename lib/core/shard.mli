@@ -112,9 +112,6 @@ val resync : t -> unit
 val repl_owned_ranges : t -> int list
 (** Ranges this shard owns and replicates out (sorted; tests/CLI). *)
 
-val repl_followed_ranges : t -> int list
-(** Ranges this shard follows copies of (sorted; tests/CLI). *)
-
 val on_peer_restart : t -> peer:t -> unit
 (** A peer copy (a shard following one of our ranges, or one of our read
     replicas) crash-restarted, losing its follower copies: mark it dirty

@@ -193,6 +193,9 @@ let total t ~shard ~kind = t.totals.(kind_index kind).(shard)
 
 let range_load t ~range ~kind ~now = decayed t t.range_cells.(kind_index kind).(range) ~now
 
+let range_rw_load t ~range ~now =
+  range_load t ~range ~kind:Read ~now +. range_load t ~range ~kind:Write ~now
+
 (* the shard observed to serve most of a range's recent read+write load;
    falls back to the hashed home while the range is cold. Ties break
    toward the lower shard index so the answer is a pure function of the

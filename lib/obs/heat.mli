@@ -92,6 +92,10 @@ val total : t -> shard:int -> kind:kind -> int
 val range_load : t -> range:int -> kind:kind -> now:float -> float
 (** Decayed load of one range for one kind, as of [now]. *)
 
+val range_rw_load : t -> range:int -> now:float -> float
+(** Decayed read+write load of one range, as of [now]: the heat the
+    planners weigh a candidate range by. *)
+
 val shard_load : t -> shard:int -> now:float -> float
 (** Decayed read+write load of one shard, as of [now]. *)
 

@@ -47,7 +47,6 @@ val begin_span : t -> trace:int -> name:string -> actor:string -> start:float ->
     to the trace, so a crash leaves it visible with [sp_stop = nan]. *)
 
 val finish : span -> stop:float -> unit
-val add_meta : span -> string -> string -> unit
 
 val message : t -> trace:int -> time:float -> src:int -> dst:int -> kind:string -> unit
 (** Record one network message attributed to [trace]. *)

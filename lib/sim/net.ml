@@ -111,8 +111,6 @@ let set_link_factor t ~src ~dst f =
 let link_factor t ~src ~dst =
   match Hashtbl.find_opt t.link_factors (src, dst) with Some f -> f | None -> 1.0
 
-let clear_link_factors t = Hashtbl.reset t.link_factors
-
 (* one delivery event fired: hand the channel's head message to the
    destination (or count the drop), retiring the channel when drained *)
 let deliver_one t ch =

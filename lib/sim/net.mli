@@ -118,6 +118,3 @@ val set_link_factor : 'm t -> src:addr -> dst:addr -> float -> unit
 
 val link_factor : 'm t -> src:addr -> dst:addr -> float
 (** Current per-link multiplier (1.0 when unset). *)
-
-val clear_link_factors : 'm t -> unit
-(** Drop every per-link multiplier. *)

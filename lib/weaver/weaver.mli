@@ -14,7 +14,6 @@ module Client = Weaver_core.Client
 module Progval = Weaver_core.Progval
 module Nodeprog = Weaver_core.Nodeprog
 module Backup = Weaver_core.Backup
-module Rebalance = Weaver_core.Rebalance
 module Balancer = Weaver_core.Balancer
 module Programs = Weaver_programs.Std_programs
 module Graphgen = Weaver_workloads.Graphgen

@@ -3,6 +3,7 @@
 open Weaver_core
 open Weaver_workloads
 module Programs = Weaver_programs.Std_programs
+module Partition = Weaver_partition.Partition
 
 let mk_cluster ?(cfg = Config.default) () =
   let c = Cluster.create cfg in
@@ -151,13 +152,47 @@ let test_rebalance_improves_cut () =
     !vids;
   Cluster.reload_shards c;
   Cluster.run_for c 10_000.0;
-  let r = Rebalance.run c client ~max_moves:64 ~rounds:3 () in
+  (* the live graph in store key order: the stream colocation partitions *)
+  let adjacency =
+    List.sort compare !vids
+    |> List.map (fun vid ->
+           match Cluster.stored_vertex c vid with
+           | Some v ->
+               let dsts = Array.map (fun e -> e.Weaver_graph.Mgraph.dst) v.Weaver_graph.Mgraph.out in
+               (vid, Array.to_list dsts)
+           | None -> Alcotest.failf "%s missing from the store" vid)
+  in
+  let placement () =
+    let a = Hashtbl.create 64 in
+    List.iter (fun (vid, _) -> Hashtbl.replace a vid (Cluster.shard_of_vertex c vid)) adjacency;
+    a
+  in
+  let settle b =
+    while Balancer.pending_moves b > 0 do
+      Cluster.run_for c 1_000.0
+    done
+  in
+  let cut_before = Partition.edge_cut (placement ()) adjacency in
+  let b = Balancer.create (Cluster.runtime c) in
+  Balancer.colocate b ~max_moves:64;
+  settle b;
+  let cut_after = Partition.edge_cut (placement ()) adjacency in
+  let moves = (Cluster.counters c).Runtime.rebal_moves in
   Alcotest.(check bool)
-    (Printf.sprintf "cut improved (%.3f -> %.3f, %d moves)" r.Rebalance.edge_cut_before
-       r.Rebalance.edge_cut_after r.Rebalance.moved)
-    true
-    (r.Rebalance.edge_cut_after < r.Rebalance.edge_cut_before);
-  Alcotest.(check bool) "some moves happened" true (r.Rebalance.moved > 0);
+    (Printf.sprintf "cut improved (%.3f -> %.3f, %d moves)" cut_before cut_after moves)
+    true (cut_after < cut_before);
+  Alcotest.(check bool) "some moves happened" true (moves > 0);
+  let target = Partition.ldg ~shards:4 adjacency in
+  Alcotest.(check (list string))
+    "every vertex on its LDG target" []
+    (List.filter_map
+       (fun (vid, _) ->
+         if Cluster.shard_of_vertex c vid = Hashtbl.find target vid then None else Some vid)
+       adjacency);
+  let issued = List.length (Balancer.move_log b) in
+  Balancer.colocate b ~max_moves:64;
+  settle b;
+  Alcotest.(check int) "second pass moves nothing" issued (List.length (Balancer.move_log b));
   (* graph content intact after the mass migration *)
   match
     Client.run_program client ~prog:"count_edges" ~params:Progval.Null ~starts:!vids ()
