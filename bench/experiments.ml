@@ -15,6 +15,23 @@ module Partition = Weaver_partition.Partition
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 let header title = line "\n==== %s ====" title
 
+(* Every experiment's tracked result: BENCH_<name>.json in the working
+   directory. It holds the experiment's name, its seed when given, then
+   [fields], each one line of rendered "key": value members. *)
+let write_bench ?seed name fields =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let head =
+    Printf.sprintf "\"experiment\": %S" name
+    :: (match seed with Some s -> [ Printf.sprintf "\"seed\": %d" s ] | None -> [])
+  in
+  Out_channel.with_open_text file (fun oc ->
+      Printf.fprintf oc "{\n  %s\n}\n" (String.concat ",\n  " (head @ fields)));
+  line "wrote %s" file
+
+(* items of a JSON array or object nested one level in a BENCH file, one
+   per line *)
+let indented items = String.concat "," (List.map (( ^ ) "\n    ") items) ^ "\n  "
+
 let ok_exn what = function
   | Ok v -> v
   | Error e -> failwith (what ^ ": " ^ e)
@@ -684,25 +701,23 @@ let breakdown () =
     (Stats.mean msgs_per_tx)
     (Stats.percentile msgs_per_tx 99.0)
     announce_per_tx;
-  let oc = open_out "BENCH_breakdown.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"breakdown\",\n  \"phases\": {";
-  List.iteri
-    (fun i (label, n, p50, p99) ->
-      j "%s\n    \"%s\": {\"n\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f}"
-        (if i = 0 then "" else ",")
-        label n p50 p99)
-    (Mixedbench.phases c);
-  j "\n  },\n";
-  j "  \"messages_per_tx\": {\"mean\": %.2f, \"p50\": %.0f, \"p99\": %.0f},\n"
-    (Stats.mean msgs_per_tx)
-    (Stats.percentile msgs_per_tx 50.0)
-    (Stats.percentile msgs_per_tx 99.0);
-  j "  \"announce_overhead\": {\"announces\": %d, \"per_committed_tx\": %.3f}\n"
-    ctr.Runtime.announce_msgs announce_per_tx;
-  j "}\n";
-  close_out oc;
-  line "wrote BENCH_breakdown.json"
+  write_bench "breakdown" ~seed:Config.default.Config.seed
+    [
+      "\"phases\": {"
+      ^ indented
+          (List.map
+             (fun (label, n, p50, p99) ->
+               Printf.sprintf "\"%s\": {\"n\": %d, \"p50_us\": %.1f, \"p99_us\": %.1f}" label n
+                 p50 p99)
+             (Mixedbench.phases c))
+      ^ "}";
+      Printf.sprintf "\"messages_per_tx\": {\"mean\": %.2f, \"p50\": %.0f, \"p99\": %.0f}"
+        (Stats.mean msgs_per_tx)
+        (Stats.percentile msgs_per_tx 50.0)
+        (Stats.percentile msgs_per_tx 99.0);
+      Printf.sprintf "\"announce_overhead\": {\"announces\": %d, \"per_committed_tx\": %.3f}"
+        ctr.Runtime.announce_msgs announce_per_tx;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Timeline: TAO-mix throughput sampled across a mid-run shard crash —
@@ -768,26 +783,18 @@ let timeline () =
   line "pre-crash %.0f ops/s | dip %.0f ops/s | post-recovery %.0f ops/s" pre dip post;
   line "recoveries: %d | epoch: %d" (Cluster.counters c).Runtime.recoveries
     (Cluster.epoch c);
-  let oc = open_out "BENCH_timeline.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"timeline\",\n";
-  j "  \"period_us\": %.0f, \"crash_at_us\": %.0f, \"duration_us\": %.0f,\n" period
-    crash_at duration;
-  j "  \"series\": {\n    \"time_us\": [";
-  List.iteri
-    (fun i (t, _) -> j "%s%.0f" (if i = 0 then "" else ", ") t)
-    ops_series;
-  j "],\n    \"ops_per_s\": [";
-  List.iteri
-    (fun i (_, v) -> j "%s%.0f" (if i = 0 then "" else ", ") v)
-    ops_series;
-  j "]\n  },\n";
-  j "  \"summary\": {\"pre_crash_ops_s\": %.0f, \"dip_ops_s\": %.0f, \
-     \"post_recovery_ops_s\": %.0f, \"recoveries\": %d}\n"
-    pre dip post (Cluster.counters c).Runtime.recoveries;
-  j "}\n";
-  close_out oc;
-  line "wrote BENCH_timeline.json"
+  let series f = String.concat ", " (List.map (fun p -> Printf.sprintf "%.0f" (f p)) ops_series) in
+  write_bench "timeline" ~seed:cfg.Config.seed
+    [
+      Printf.sprintf "\"period_us\": %.0f, \"crash_at_us\": %.0f, \"duration_us\": %.0f" period
+        crash_at duration;
+      Printf.sprintf "\"series\": {\n    \"time_us\": [%s],\n    \"ops_per_s\": [%s]\n  }"
+        (series fst) (series snd);
+      Printf.sprintf
+        "\"summary\": {\"pre_crash_ops_s\": %.0f, \"dip_ops_s\": %.0f, \
+         \"post_recovery_ops_s\": %.0f, \"recoveries\": %d}"
+        pre dip post (Cluster.counters c).Runtime.recoveries;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: TAO-style mix under a rolling crash/restart fault plan, client
@@ -804,13 +811,8 @@ let chaos () =
   line "%s" (Chaosbench.summary "on" on_);
   line "availability delta: +%.3f"
     (on_.Chaosbench.r_availability -. off.Chaosbench.r_availability);
-  let oc = open_out "BENCH_chaos.json" in
-  Printf.fprintf oc
-    "{\n  \"experiment\": \"chaos\",\n  \"seed\": %d,\n  \"off\": %s,\n  \"on\": %s\n}\n"
-    base.Chaosbench.co_seed
-    (Chaosbench.to_json off) (Chaosbench.to_json on_);
-  close_out oc;
-  line "wrote BENCH_chaos.json"
+  write_bench "chaos" ~seed:base.Chaosbench.co_seed
+    [ "\"off\": " ^ Chaosbench.to_json off; "\"on\": " ^ Chaosbench.to_json on_ ]
 
 (* ------------------------------------------------------------------ *)
 (* Contention ({!Contentionbench}): blocking vs non-blocking refinement
@@ -857,20 +859,20 @@ let contention () =
           (Printf.sprintf "contention: latency did not improve at theta %.1f"
              theta))
     sweep;
-  let oc = open_out "BENCH_contention.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"contention\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"writers\": 9, \"commits_per_writer\": 40, \"keys\": 16, \"shards\": 1, \"gatekeepers\": 3},\n";
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (theta, bl, nb) ->
-      j "%s\n    {\"theta\": %.1f,\n     \"blocking\": %s,\n     \"nonblocking\": %s}"
-        (if i = 0 then "" else ",")
-        theta (to_json bl) (to_json nb))
-    sweep;
-  j "\n  ],\n  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_contention.json"
+  write_bench "contention" ~seed
+    [
+      "\"workload\": {\"writers\": 9, \"commits_per_writer\": 40, \"keys\": 16, \"shards\": 1, \"gatekeepers\": 3}";
+      "\"sweep\": ["
+      ^ indented
+          (List.map
+             (fun (theta, bl, nb) ->
+               Printf.sprintf
+                 "{\"theta\": %.1f,\n     \"blocking\": %s,\n     \"nonblocking\": %s}" theta
+                 (to_json bl) (to_json nb))
+             sweep)
+      ^ "]";
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Overload: open-loop offered-load sweep across the admission-capacity
@@ -931,26 +933,23 @@ let overload () =
   in
   line "deterministic rerun (2x, flow on): %b" deterministic;
   if not deterministic then failwith "overload: rerun diverged";
-  let oc = open_out "BENCH_overload.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"overload\",\n  \"seed\": %d,\n"
-    base.Overloadbench.ov_seed;
-  j "  \"saturation_rps\": %.0f,\n" sat;
-  j "  \"knobs\": {\"admission_limit\": %d, \"deadline_budget_us\": %.0f, \"shard_credits\": %d},\n"
-    base.Overloadbench.ov_admission_limit base.Overloadbench.ov_deadline_budget
-    base.Overloadbench.ov_shard_credits;
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (mult, off, on_) ->
-      j "%s\n    {\"load_multiplier\": %.2f,\n     \"off\": %s,\n     \"on\": %s}"
-        (if i = 0 then "" else ",")
-        mult
-        (Overloadbench.to_json off)
-        (Overloadbench.to_json on_))
-    sweep;
-  j "\n  ],\n  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_overload.json"
+  write_bench "overload" ~seed:base.Overloadbench.ov_seed
+    [
+      Printf.sprintf "\"saturation_rps\": %.0f" sat;
+      Printf.sprintf
+        "\"knobs\": {\"admission_limit\": %d, \"deadline_budget_us\": %.0f, \"shard_credits\": %d}"
+        base.Overloadbench.ov_admission_limit base.Overloadbench.ov_deadline_budget
+        base.Overloadbench.ov_shard_credits;
+      "\"sweep\": ["
+      ^ indented
+          (List.map
+             (fun (mult, off, on_) ->
+               Printf.sprintf "{\"load_multiplier\": %.2f,\n     \"off\": %s,\n     \"on\": %s}"
+                 mult (Overloadbench.to_json off) (Overloadbench.to_json on_))
+             sweep)
+      ^ "]";
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot reads ({!Snapshotbench}, §DESIGN 12): historical analytics
@@ -983,15 +982,12 @@ let snapshot () =
   let deterministic = again.sr_fingerprint = on_.sr_fingerprint in
   line "deterministic rerun (snapshots on): %b" deterministic;
   if not deterministic then failwith "snapshot: rerun diverged";
-  let oc = open_out "BENCH_snapshot.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"snapshot\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"vertices\": 600, \"writers\": 4, \"analytics_starts\": 64, \"shards\": 4, \"gatekeepers\": 2, \"shard_capacity\": 120, \"gc_period_us\": 5000},\n";
-  j "  \"arms\": {";
-  j "\n    \"off\": %s,\n    \"on\": %s\n  },\n" (to_json off) (to_json on_);
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_snapshot.json"
+  write_bench "snapshot" ~seed
+    [
+      "\"workload\": {\"vertices\": 600, \"writers\": 4, \"analytics_starts\": 64, \"shards\": 4, \"gatekeepers\": 2, \"shard_capacity\": 120, \"gc_period_us\": 5000}";
+      "\"arms\": {" ^ indented [ "\"off\": " ^ to_json off; "\"on\": " ^ to_json on_ ] ^ "}";
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Skew: heat-attribution accuracy and cost under zipf-skewed writes.
@@ -1216,29 +1212,29 @@ let skew () =
   line "deterministic rerun (theta 0.9): %b" deterministic;
   if not deterministic then failwith "skew: rerun diverged";
   let flip_lat = match skew_flip ~seed with Some l -> l | None -> 0.0 in
-  let oc = open_out "BENCH_skew.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"skew\",\n  \"seed\": %d,\n" seed;
-  j "  \"workload\": {\"writers\": 8, \"commits_per_writer\": 60, \"keys\": %d, \"shards\": 4, \"gatekeepers\": 2, \"sketch_k\": 16, \"reported_k\": %d},\n"
-    skew_keys skew_k;
-  j "  \"sweep\": [";
-  List.iteri
-    (fun i (theta, r) ->
-      j
-        "%s\n    {\"theta\": %.1f, \"committed\": %d, \"aborted\": %d, \"precision_at_k\": %.4f, \"recall_at_k\": %.4f, \"writes_per_s\": %.0f, \"cross_touches\": %d}"
-        (if i = 0 then "" else ",")
-        theta r.sk_committed r.sk_aborted r.sk_precision r.sk_recall r.sk_throughput
-        r.sk_cross)
-    sweep;
-  j "\n  ],\n";
-  j
-    "  \"overhead\": {\"heat_off_writes_per_s\": %.0f, \"heat_on_writes_per_s\": %.0f, \"throughput_overhead\": %.4f, \"cpu_s_off\": %.4f, \"cpu_s_on\": %.4f, \"fingerprint_identical\": true},\n"
-    off.sk_throughput hot.sk_throughput tp_overhead off.sk_cpu_s hot.sk_cpu_s;
-  j "  \"flip\": {\"theta\": 0.9, \"detection_latency_us\": %.0f, \"budget_us\": %.0f},\n"
-    flip_lat flip_budget;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_skew.json"
+  write_bench "skew" ~seed
+    [
+      Printf.sprintf
+        "\"workload\": {\"writers\": 8, \"commits_per_writer\": 60, \"keys\": %d, \"shards\": 4, \"gatekeepers\": 2, \"sketch_k\": 16, \"reported_k\": %d}"
+        skew_keys skew_k;
+      "\"sweep\": ["
+      ^ indented
+          (List.map
+             (fun (theta, r) ->
+               Printf.sprintf
+                 "{\"theta\": %.1f, \"committed\": %d, \"aborted\": %d, \"precision_at_k\": %.4f, \"recall_at_k\": %.4f, \"writes_per_s\": %.0f, \"cross_touches\": %d}"
+                 theta r.sk_committed r.sk_aborted r.sk_precision r.sk_recall r.sk_throughput
+                 r.sk_cross)
+             sweep)
+      ^ "]";
+      Printf.sprintf
+        "\"overhead\": {\"heat_off_writes_per_s\": %.0f, \"heat_on_writes_per_s\": %.0f, \"throughput_overhead\": %.4f, \"cpu_s_off\": %.4f, \"cpu_s_on\": %.4f, \"fingerprint_identical\": true}"
+        off.sk_throughput hot.sk_throughput tp_overhead off.sk_cpu_s hot.sk_cpu_s;
+      Printf.sprintf
+        "\"flip\": {\"theta\": 0.9, \"detection_latency_us\": %.0f, \"budget_us\": %.0f}" flip_lat
+        flip_budget;
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
 (* -------------------------------------------------------------------- *)
 (* Rebalance ({!Rebalancebench}, §4.6): after the hot-set flip the
@@ -1279,19 +1275,15 @@ let rebalance () =
   in
   line "deterministic rerun: %b" deterministic;
   if not deterministic then failwith "rebalance: rerun diverged";
-  let oc = open_out "BENCH_rebalance.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"rebalance\",\n  \"seed\": %d,\n" seed;
-  j
-    "  \"workload\": {\"writers\": 8, \"commits_per_writer_per_phase\": 120, \
-     \"hot_set\": 16, \"keys\": 128, \"shards\": 4, \"gatekeepers\": 2, \
-     \"rebalance_period_us\": 10000},\n";
-  j "  \"off\": %s,\n" (to_json off);
-  j "  \"on\": %s,\n" (to_json on);
-  j "  \"goodput_delta\": %.4f,\n" goodput_delta;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_rebalance.json"
+  write_bench "rebalance" ~seed
+    [
+      "\"workload\": {\"writers\": 8, \"commits_per_writer_per_phase\": 120, \"hot_set\": 16, \
+       \"keys\": 128, \"shards\": 4, \"gatekeepers\": 2, \"rebalance_period_us\": 10000}";
+      "\"off\": " ^ to_json off;
+      "\"on\": " ^ to_json on;
+      Printf.sprintf "\"goodput_delta\": %.4f" goodput_delta;
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Replication ({!Replbench}): read scale-out from partial replication
@@ -1390,28 +1382,55 @@ let replication () =
   if not deterministic then failwith "replication: rerun diverged";
   let crashed_owner, warm_tries = owner_crash ~seed in
   line "chaos: covered pinned read survived crash of owner shard %d" crashed_owner;
-  let oc = open_out "BENCH_replication.json" in
-  let j fmt = Printf.fprintf oc fmt in
-  j "{\n  \"experiment\": \"replication\",\n  \"seed\": %d,\n" seed;
-  j
-    "  \"workload\": {\"vertices\": 64, \"edges\": 128, \"readers\": 48, \
-     \"writers\": 8, \"duration_us\": 250000, \"warmup_us\": 50000, \
-     \"shards\": 4, \"gatekeepers\": 4, \"vertex_read_cost_us\": 40},\n";
-  j "  \"arms\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map (fun r -> "    " ^ to_json r) runs));
-  j "  \"read_scaleout_theta09_f3_vs_f0\": %.4f,\n" speedup;
-  j "  \"write_delta_theta09_f3_vs_f0\": %.4f,\n"
-    (best.rp_writes /. base.rp_writes);
-  j "  \"chaos\": {\"crashed_owner\": %d, \"warmup_reads\": %d, \
-     \"covered_read_survived\": true},\n"
-    crashed_owner warm_tries;
-  j "  \"deterministic_rerun\": %b\n}\n" deterministic;
-  close_out oc;
-  line "wrote BENCH_replication.json"
+  write_bench "replication" ~seed
+    [
+      "\"workload\": {\"vertices\": 64, \"edges\": 128, \"readers\": 48, \"writers\": 8, \
+       \"duration_us\": 250000, \"warmup_us\": 50000, \"shards\": 4, \"gatekeepers\": 4, \
+       \"vertex_read_cost_us\": 40}";
+      "\"arms\": [" ^ indented (List.map to_json runs) ^ "]";
+      Printf.sprintf "\"read_scaleout_theta09_f3_vs_f0\": %.4f" speedup;
+      Printf.sprintf "\"write_delta_theta09_f3_vs_f0\": %.4f" (best.rp_writes /. base.rp_writes);
+      Printf.sprintf
+        "\"chaos\": {\"crashed_owner\": %d, \"warmup_reads\": %d, \"covered_read_survived\": true}"
+        crashed_owner warm_tries;
+      Printf.sprintf "\"deterministic_rerun\": %b" deterministic;
+    ]
 
+(* ------------------------------------------------------------------ *)
+(* Work counters ({!Workbench}): the simulator's own cost per simulated
+   op, as deterministic counts and allocated words, gated against the
+   committed BENCH_work.json (bounds in EXPERIMENTS.md). A passing run
+   rewrites the file; a failing one leaves it as committed. With no
+   committed file the run gates only determinism and GC scaling, and
+   writes a fresh baseline. *)
+
+let work () =
+  header "Work counters: simulator cost per simulated op";
+  let file = "BENCH_work.json" in
+  let committed =
+    if Sys.file_exists file then
+      Some
+        (Workbench.of_json
+           (Weaver_util.Json.parse_exn (In_channel.with_open_text file In_channel.input_all)))
+    else None
+  in
+  let r = Workbench.run Workbench.default_opts in
+  print_string (Workbench.table r);
+  line "swept/round growth %.2fx (gate <= %.1fx) | deterministic rerun: %b"
+    r.Workbench.w_swept_growth Workbench.max_swept_growth r.Workbench.w_deterministic;
+  match Workbench.check ~baseline:(Option.value ~default:r committed) r with
+  | [] ->
+      line "gate: %s" (if committed = None then "no committed baseline" else "ok");
+      write_bench "work" ~seed:r.Workbench.w_opts.Workbench.wk_seed (Workbench.to_json r)
+  | failures ->
+      List.iter (line "FAIL %s") failures;
+      failwith (Printf.sprintf "work: %d check(s) failed against %s" (List.length failures) file)
+
+(* [work] comes first: its word counts are gated as measured in a fresh
+   process *)
 let all =
   [
+    ("work", work);
     ("table1", table1);
     ("fig7", fig7);
     ("fig8", fig8);

@@ -483,9 +483,11 @@ let handle_migrate_req t ~client ~tx_id ~vid ~to_shard =
               end
               else begin
                 Store.Tx.put stx (Runtime.dirkey vid) (Runtime.Dir to_shard);
-                (match Store.Tx.get stx (Runtime.lukey vid) with
-                | Some (Runtime.Stamp _) | None | Some _ ->
-                    Store.Tx.put stx (Runtime.lukey vid) (Runtime.Stamp ts));
+                (* read only for its effect: [Store.Tx.get] puts the
+                   last-update stamp in the OCC read set that commit
+                   validates, beside the vertex record read above *)
+                ignore (Store.Tx.get stx (Runtime.lukey vid));
+                Store.Tx.put stx (Runtime.lukey vid) (Runtime.Stamp ts);
                 match Store.Tx.commit stx with
                 | Error (`Conflict _) ->
                     (counters t).Runtime.tx_aborted <- (counters t).Runtime.tx_aborted + 1;

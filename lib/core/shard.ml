@@ -455,6 +455,11 @@ let prog_states t prog_id =
       Hashtbl.replace t.prog_state prog_id tbl;
       tbl
 
+(* an empty batch result: nothing visited, nothing sent on *)
+let reply_empty t (p : parked_prog) error =
+  send t ~dst:p.p_coord
+    (Msg.Prog_partial { prog_id = p.p_id; sent = 0; acc = Progval.Null; visited = []; error })
+
 (* Run a batch of (vertex, params) visits locally; hops to vertices on this
    shard are processed in the same batch, hops elsewhere are grouped into
    per-shard messages. Results are delivered after the modelled CPU cost. *)
@@ -482,24 +487,13 @@ let execute_prog_batch t (p : parked_prog) =
             (fun (vid, _) -> Runtime.shard_of_vertex t.rt vid = t.sid)
             p.p_items)
   in
-  if gced then
-    send t ~dst:p.p_coord
-      (Msg.Prog_partial
-         {
-           prog_id = p.p_id;
-           sent = 0;
-           acc = Progval.Null;
-           visited = [];
-           error = Some "snapshot-gced";
-         })
+  if gced then reply_empty t p (Some "snapshot-gced")
   else
   match Nodeprog.find t.rt.Runtime.registry p.p_prog with
   | None ->
       (* unknown program: report an empty batch so termination detection
          still converges (the coordinator validated the name already) *)
-      send t ~dst:p.p_coord
-        (Msg.Prog_partial
-           { prog_id = p.p_id; sent = 0; acc = Progval.Null; visited = []; error = None })
+      reply_empty t p None
   | Some (module P : Nodeprog.PROGRAM) ->
       (* time this batch spent parked behind the refinable-timestamp gate *)
       Runtime.observe t.rt "shard.prog_gate_wait" (now t -. p.p_since);
@@ -589,16 +583,7 @@ let execute_prog_batch t (p : parked_prog) =
             end
         end
       done;
-      if !aborted then
-        send t ~dst:p.p_coord
-          (Msg.Prog_partial
-             {
-               prog_id = p.p_id;
-               sent = 0;
-               acc = Progval.Null;
-               visited = [];
-               error = Some "snapshot-gced";
-             })
+      if !aborted then reply_empty t p (Some "snapshot-gced")
       else begin
       let cost = ((cfg t).Config.vertex_read_cost *. !read_cost_units) +. !page_cost in
       let start = Float.max (Engine.now t.rt.Runtime.engine) t.busy_until in

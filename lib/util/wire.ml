@@ -57,7 +57,8 @@ module Reader = struct
 
   let string t =
     let len = varint t in
-    if t.pos + len > String.length t.data then raise (Corrupt "truncated string");
+    (* a nine-byte varint can reach the sign bit *)
+    if len < 0 || len > String.length t.data - t.pos then raise (Corrupt "truncated string");
     let s = String.sub t.data t.pos len in
     t.pos <- t.pos + len;
     s
@@ -70,6 +71,7 @@ module Reader = struct
 
   let list t f =
     let n = varint t in
+    if n < 0 then raise (Corrupt "negative length");
     List.init n (fun _ -> f ())
 
   let option t f = if bool t then Some (f ()) else None

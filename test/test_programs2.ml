@@ -197,6 +197,16 @@ let prop_decode_never_crashes =
       | exception Weaver_util.Wire.Reader.Corrupt _ -> true
       | exception _ -> false)
 
+(* a shrunk counterexample of the property above: a nine-byte varint
+   that reaches the sign bit used to get to [List.init] as a negative count *)
+let test_decode_negative_length () =
+  match
+    Weaver_graph.Codec.decode_vertex
+      "\001\raaaaaaaaaaaaaa\128a\128\128\128\128\128\128\128\128aaaaa"
+  with
+  | _ -> ()
+  | exception Weaver_util.Wire.Reader.Corrupt _ -> ()
+
 let suites =
   [
     ( "programs.extended",
@@ -217,5 +227,6 @@ let suites =
         Alcotest.test_case "history" `Quick test_history_program;
         Alcotest.test_case "match_prop" `Quick test_match_prop;
         QCheck_alcotest.to_alcotest prop_decode_never_crashes;
+        Alcotest.test_case "codec rejects a negative length" `Quick test_decode_negative_length;
       ] );
   ]
